@@ -20,7 +20,15 @@ from .cone import ConeSpec
 from .qlinalg import qinverse, qmat
 from .rational import Vec, as_vec
 
-__all__ = ["AxisGrid", "CellComplex", "common_refinement", "shift_complex", "orthant_transform"]
+__all__ = [
+    "AxisGrid",
+    "CellComplex",
+    "axis_cell_map",
+    "cell_map",
+    "common_refinement",
+    "shift_complex",
+    "orthant_transform",
+]
 
 Cell = tuple[int, ...]
 
@@ -246,12 +254,42 @@ def shift_complex(complex_: CellComplex, v) -> CellComplex:
     return complex_.shifted(v)
 
 
-def _axis_index_map(fine: AxisGrid, coarse: AxisGrid) -> list[int]:
-    """For each fine axis cell, the coarse axis cell containing it."""
-    out = []
-    for idx in range(fine.ncells):
-        out.append(coarse.cell_of(fine.representative(idx)))
+def axis_cell_map(fine: AxisGrid, coarse: AxisGrid, shift=0) -> list[int]:
+    """For each fine axis cell, the coarse axis cell containing its
+    translate by shift.
+
+    The fine grid must refine the coarse grid moved by -shift, so every
+    translated open fine cell lies inside one open coarse cell.  One merge
+    walk locates each translated fine breakpoint among the coarse ones; an
+    open cell then maps to the open coarse cell below the image of its
+    upper endpoint (above the image of the last breakpoint for the top
+    cell)."""
+    cb = coarse.breaks
+    n = len(cb)
+    out: list[int] = []
+    j = hits = 0
+    for f in fine.breaks:
+        y = f + shift if shift else f
+        while j < n and cb[j] < y:
+            j += 1
+        out.append(2 * j)
+        if j < n and cb[j] == y:
+            out.append(2 * j + 1)
+            hits += 1
+        else:
+            out.append(2 * j)
+    if hits != n:
+        raise ValueError("fine axis grid does not refine the shifted coarse grid")
+    out.append(2 * n)
     return out
+
+
+def cell_map(fine: CellComplex, coarse: CellComplex, shift=None):
+    """Fine cell -> the coarse cell holding its translate by shift (zero
+    when omitted), read from per-axis integer tables."""
+    shift = shift or (0,) * fine.dim
+    tables = [axis_cell_map(f, c, sj) for f, c, sj in zip(fine.axes, coarse.axes, shift)]
+    return lambda cell: tuple(t[i] for t, i in zip(tables, cell))
 
 
 def common_refinement(*complexes: CellComplex):
@@ -264,12 +302,12 @@ def common_refinement(*complexes: CellComplex):
         if not first.compatible(c):
             raise ValueError("complexes disagree on cone or coordinates")
     merged = [
-        sorted(set().union(*(set(c.axes[j].breaks) for c in complexes)))
+        tuple(sorted(set().union(*(set(c.axes[j].breaks) for c in complexes))))
         for j in range(first.dim)
     ]
-    refined = CellComplex(first.cone, merged, first.transform)
-    maps = []
-    for c in complexes:
-        tables = [_axis_index_map(refined.axes[j], c.axes[j]) for j in range(first.dim)]
-        maps.append(lambda cell, t=tables: tuple(t[j][i] for j, i in enumerate(cell)))
-    return refined, maps
+    # an input that already refines the others is the answer itself
+    refined = next(
+        (c for c in complexes if all(a.breaks == m for a, m in zip(c.axes, merged))),
+        None,
+    ) or CellComplex(first.cone, merged, first.transform)
+    return refined, [cell_map(refined, c) for c in complexes]

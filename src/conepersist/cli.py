@@ -139,7 +139,12 @@ def _distance_json(res, metric):
 
 
 def _cmd_distance(args) -> int:
-    direction = parse_vector(args.direction.split(","))
+    try:
+        direction = parse_vector(args.direction.split(","))
+    except ZeroDivisionError:
+        raise UsageError("direction has a zero denominator") from None
+    if args.budget < 0:
+        raise UsageError("budget must be nonnegative")
     tol = Fraction(args.tol) if args.tol else None
     if args.metric == "interleaving":
         F = _load_module(args.first)

@@ -11,6 +11,7 @@ optimal c is a bottleneck matching between the sorted birth sequences.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,13 @@ def line_cone() -> ConeSpec:
     return ConeSpec(normals=[(-1,)], generators=[(-1,)])
 
 
+@functools.cache
+def _line() -> ConeSpec:
+    """One shared line cone for this module's own use, built on first call;
+    line_cone() keeps handing callers a fresh object."""
+    return line_cone()
+
+
 @dataclass(frozen=True)
 class RaySheaf:
     """Multiset of ray births over F_p, kept sorted."""
@@ -63,7 +71,7 @@ class RaySheaf:
 def _gauge_speed(gauge: GaugeSpec) -> Fraction:
     if gauge.cone.dim != 1:
         raise ValueError("one-axis calculus needs a one-dimensional gauge")
-    if gauge.cone != line_cone():
+    if gauge.cone != _line():
         raise ValueError("gauge must live over the nonpositive halfline cone")
     return abs(gauge.v[0])
 
@@ -279,7 +287,7 @@ def to_gamma_module(rs: RaySheaf) -> GammaModule:
     cell counts births strictly below it, an interval cell counts births
     up to its left endpoint, and structure maps are the prefix projections
     of the sorted-birth coordinates."""
-    cone = line_cone()
+    cone = _line()
     breaks = sorted(set(rs.births))
     cx = CellComplex(cone, [breaks])
     births = rs.births  # sorted
@@ -330,7 +338,7 @@ def properness_report(rs: RaySheaf) -> tuple[bool, bool]:
     mirrored one holds whenever the sheaf is nonempty."""
     if not rs.births:
         return True, True
-    cone = line_cone()
+    cone = _line()
     support = PolySet(
         vertices=tuple((b,) for b in rs.births), recession=((Fraction(1),),)
     )

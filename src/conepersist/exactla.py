@@ -8,6 +8,7 @@ they sit on the hot loop.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -58,7 +59,9 @@ class FieldMat:
         return FieldMat(p, tuple((0,) * cols for _ in range(rows)), cols)
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def identity(p: int, n: int) -> "FieldMat":
+        # immutable, so one shared instance per (p, n) serves every caller
         return FieldMat(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @property
@@ -237,25 +240,30 @@ def _rref_mod(rows: list[list[int]], p: int) -> list[int]:
     return pivots
 
 
-def _rref_f2_packed(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan over F_2 with rows as bitmasks (bit j = column j)."""
-    out: list[int] = []
-    pivots: list[int] = []
-    work = [r for r in rows if r]
-    for c in range(ncols):
-        bit = 1 << c
-        src = next((i for i, r in enumerate(work) if r & bit), None)
-        if src is None:
+def _rref_f2_packed(rows: Iterable[int]) -> dict[int, int]:
+    """Gauss-Jordan over F_2 with rows as bitmasks (bit j = column j).
+
+    Rows enter one at a time: each is reduced by the pivot rows it hits,
+    and a nonzero remainder becomes a pivot row at its lowest set bit,
+    which is then cleared from the earlier pivot rows.  The result, keyed
+    by pivot bit (1 << column), is the reduced row echelon form."""
+    pivrow: dict[int, int] = {}
+    pivmask = 0
+    for r in rows:
+        hit = r & pivmask
+        while hit:
+            low = hit & -hit
+            r ^= pivrow[low]
+            hit ^= low
+        if not r:
             continue
-        row = work.pop(src)
-        work = [r ^ row if r & bit else r for r in work]
-        out = [r ^ row if r & bit else r for r in out]
-        out.append(row)
-        pivots.append(c)
-        work = [r for r in work if r]
-        if not work:
-            break
-    return out, pivots
+        low = r & -r
+        for k, pr in pivrow.items():
+            if pr & low:
+                pivrow[k] = pr ^ r
+        pivrow[low] = r
+        pivmask |= low
+    return pivrow
 
 
 # -- finite poset diagrams --------------------------------------------------
@@ -497,7 +505,22 @@ def affine_solution_space(
         off += r * c
     total = off
     index = {name: (r, c, o) for name, r, c, o in layout}
+    if p == 2:
+        return _solve_space_f2(layout, total, _f2_rows(index, total, equations))
+    rows, rhs_vals = _dense_rows(p, index, total, equations)
+    return _solve_space_generic(p, layout, total, rows, rhs_vals)
 
+
+def _check_term(L, R, r, c, m, n) -> None:
+    if L is not None and (L.nrows != m or L.ncols != r):
+        raise ValueError("left factor shape mismatch")
+    if R is not None and (R.nrows != c or R.ncols != n):
+        raise ValueError("right factor shape mismatch")
+
+
+def _dense_rows(p, index, total, equations):
+    """One dense coefficient row and one right-hand value per scalar entry
+    of each equation."""
     rows: list[list[int]] = []
     rhs_vals: list[int] = []
     for terms, rhs in equations:
@@ -507,10 +530,7 @@ def affine_solution_space(
                 row = [0] * total
                 for L, name, R in terms:
                     r, c, o = index[name]
-                    if L is not None and (L.nrows != m or L.ncols != r):
-                        raise ValueError("left factor shape mismatch")
-                    if R is not None and (R.nrows != c or R.ncols != n):
-                        raise ValueError("right factor shape mismatch")
+                    _check_term(L, R, r, c, m, n)
                     for a in range(r):
                         la = 1 if L is None and a == i else (L.entries[i][a] if L is not None else 0)
                         if la == 0:
@@ -521,10 +541,49 @@ def affine_solution_space(
                                 row[o + a * c + b] = (row[o + a * c + b] + la * rb) % p
                 rows.append(row)
                 rhs_vals.append(rhs.entries[i][j] % p)
+    return rows, rhs_vals
 
-    if p == 2:
-        return _solve_space_f2(layout, total, rows, rhs_vals)
-    return _solve_space_generic(p, layout, total, rows, rhs_vals)
+
+def _f2_rows(index, total, equations) -> list[int]:
+    """The F_2 rows as bitmasks (bit k = unknown entry k, bit total = right
+    hand side), built term by term: the entry (i, j) of L @ X @ R touches
+    X[a][b] exactly when L[i][a] and R[b][j] are odd, so each term adds the
+    odd-support mask of column j of R at the offset of every such row a."""
+    packed: list[int] = []
+    rhs_bit = 1 << total
+    for terms, rhs in equations:
+        m, n = rhs.nrows, rhs.ncols
+        if not (m and n):
+            continue
+        parts = []
+        for L, name, R in terms:
+            r, c, o = index[name]
+            _check_term(L, R, r, c, m, n)
+            if L is None:
+                lrows = [[i] if i < r else [] for i in range(m)]
+            else:
+                lrows = [[a for a, x in enumerate(row) if x & 1] for row in L.entries]
+            if R is None:
+                rmasks = [1 << j if j < c else 0 for j in range(n)]
+            else:
+                rmasks = [0] * n
+                for b, row in enumerate(R.entries):
+                    for j, x in enumerate(row):
+                        if x & 1:
+                            rmasks[j] |= 1 << b
+            parts.append(([[o + a * c for a in ar] for ar in lrows], rmasks))
+        for i in range(m):
+            rhs_row = rhs.entries[i]
+            for j in range(n):
+                word = rhs_bit if rhs_row[j] & 1 else 0
+                for shifts, rmasks in parts:
+                    mask = rmasks[j]
+                    if mask:
+                        for sh in shifts[i]:
+                            word ^= mask << sh
+                if word:
+                    packed.append(word)
+    return packed
 
 
 def _solve_space_generic(p, layout, total, rows, rhs_vals) -> SolutionSpace:
@@ -550,35 +609,25 @@ def _solve_space_generic(p, layout, total, rows, rhs_vals) -> SolutionSpace:
     return SolutionSpace(p, layout, particular, basis)
 
 
-def _solve_space_f2(layout, total, rows, rhs_vals) -> SolutionSpace:
-    packed = []
+def _solve_space_f2(layout, total, packed) -> SolutionSpace:
     rhs_bit = 1 << total
-    for row, b in zip(rows, rhs_vals):
-        word = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                word |= 1 << j
-        if b & 1:
-            word |= rhs_bit
-        if word:
-            packed.append(word)
-    red, pivots = _rref_f2_packed(packed, total + 1)
-    if total in pivots:
+    pivrow = _rref_f2_packed(packed)
+    if rhs_bit in pivrow:
         return SolutionSpace(2, layout, None, [])
+    pivots = [(low.bit_length() - 1, row) for low, row in pivrow.items()]
     particular = [0] * total
-    for row, c in zip(red, pivots):
+    for c, row in pivots:
         if row & rhs_bit:
             particular[c] = 1
-    pivset = set(pivots)
-    free = [c for c in range(total) if c not in pivset]
     basis = []
-    pivrow = {c: row for row, c in zip(red, pivots)}
-    for fc in free:
+    for fc in range(total):
+        bit = 1 << fc
+        if bit in pivrow:
+            continue
         v = [0] * total
         v[fc] = 1
-        bit = 1 << fc
-        for c in pivots:
-            if pivrow[c] & bit:
+        for c, row in pivots:
+            if row & bit:
                 v[c] = 1
         basis.append(v)
     return SolutionSpace(2, layout, particular, basis)

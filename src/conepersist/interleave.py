@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import CellComplex, common_refinement
+from .arrangement import CellComplex, cell_map, common_refinement
 from .exactla import FieldMat, SolutionSpace, affine_solution_space
 from .persist import (
     ArrModule,
@@ -167,34 +167,32 @@ def _build_side(side: _Side, w1: CellComplex, t0, tv):
             side.nat_eqs.append((terms, FieldMat.zero(p, rows, cols)))
 
 
-def _axis_tables(w: CellComplex, base: CellComplex, shifts):
-    """Per shift: per axis: witness-grid axis cell -> base axis cell."""
-    out = {}
-    for s in shifts:
-        tabs = []
-        for wax, bax, sj in zip(w.axes, base.axes, s):
-            tabs.append([bax.cell_of(wax.representative(i) + sj) for i in range(wax.ncells)])
-        out[s] = tabs
-    return out
-
-
-def _decide(F: ArrModule, G: ArrModule, v, budget: int):
-    """Find an interleaving witness or certify none exists."""
+def _common_base(F: ArrModule, G: ArrModule):
+    """F and G restricted to the common refinement of their grids."""
     if F.p != G.p:
         raise ValueError("field mismatch")
     base, (mf, mg) = common_refinement(F.complex, G.complex)
-    F0 = restrict_module(F, base, mf)
-    G0 = restrict_module(G, base, mg)
+    return restrict_module(F, base, mf), restrict_module(G, base, mg)
+
+
+def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
+    """Components (F0, G0, v, w1, f_comps, g_comps) of an interleaving in
+    shift v of two modules on one grid, or None when provably none exists.
+    Nothing is verified here: _certified checks the one witness a caller
+    returns."""
+    base = F0.complex
     v = as_vec(v)
     if len(v) != base.dim:
         raise ValueError("shift vector dimension mismatch")
     if not base.in_antipode(v):
         raise ValueError("shift vector must lie in the antipodal cone")
-    p = F.p
+    p = F0.p
     zero_v = (Fraction(0),) * base.dim
 
     if v == zero_v and F0 == G0:
-        return _identity_witness(F0, G0, v)
+        # the v = 0 witness grid is the base itself
+        comps = {c: FieldMat.identity(p, d) for c, d in F0.dims.items()}
+        return F0, G0, v, base, comps, dict(comps)
 
     two_v = tuple(2 * x for x in v)
     w1 = base.with_extra_breaks(
@@ -203,27 +201,20 @@ def _decide(F: ArrModule, G: ArrModule, v, budget: int):
     w2 = w1.with_extra_breaks(
         [[b - tj for b in ax.breaks] for ax, tj in zip(base.axes, two_v)]
     )
-    t1 = _axis_tables(w1, base, [zero_v, v])
-    t2 = _axis_tables(w2, base, [zero_v, v, two_v])
-
-    def lut(tabs, cell):
-        return tuple(tabs[j][i] for j, i in enumerate(cell))
-
-    t0 = lambda c: lut(t1[zero_v], c)
-    tv = lambda c: lut(t1[v], c)
-    s0 = lambda c: lut(t2[zero_v], c)
-    sv = lambda c: lut(t2[v], c)
-    s2 = lambda c: lut(t2[two_v], c)
-    w1_of = _axis_tables(w2, w1, [zero_v, v])
-    a1_of = lambda c: lut(w1_of[zero_v], c)
-    b1_of = lambda c: lut(w1_of[v], c)
+    t0 = cell_map(w1, base)
+    tv = cell_map(w1, base, v)
+    s0 = cell_map(w2, base)
+    sv = cell_map(w2, base, v)
+    s2 = cell_map(w2, base, two_v)
+    a1_of = cell_map(w2, w1)
+    b1_of = cell_map(w2, w1, v)
 
     w2_cells = list(w2.cells())
     chi_f = {t: F0.structure_map(s0(t), s2(t)) for t in w2_cells}
     chi_g = {t: G0.structure_map(s0(t), s2(t)) for t in w2_cells}
 
     if all(m.is_zero() for m in chi_f.values()) and all(m.is_zero() for m in chi_g.values()):
-        return _zero_witness(F0, G0, v, w1)
+        return F0, G0, v, w1, {}, {}
 
     # sound pruning: a witness makes the F comparison factor through G at
     # the v-translate (and symmetrically), bounding its rank
@@ -260,7 +251,7 @@ def _decide(F: ArrModule, G: ArrModule, v, budget: int):
         return None
     e_comps, s_comps = probe
     f_comps, g_comps = (s_comps, e_comps) if swap else (e_comps, s_comps)
-    return _assemble_witness(F0, G0, v, w1, f_comps, g_comps)
+    return F0, G0, v, w1, f_comps, g_comps
 
 
 def _linear_probes(
@@ -378,51 +369,23 @@ def _solve_other(p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of,
     return {cell: m for (_, cell), m in named.items()}
 
 
-def _witness_modules(F0, G0, v, w1):
+def _certified(found) -> InterleavingWitness:
+    """Assemble the witness from _decide's components and verify it; the
+    one witness a public entry point returns is checked here, and only it."""
+    F0, G0, v, w1, f_comps, g_comps = found
     src_f = _restrict_onto(shift_module(F0, v), w1)
     dst_f = _restrict_onto(G0, w1)
     src_g = _restrict_onto(shift_module(G0, v), w1)
     dst_g = _restrict_onto(F0, w1)
-    return src_f, dst_f, src_g, dst_g
-
-
-def _assemble_witness(F0, G0, v, w1, f_comps, g_comps):
-    src_f, dst_f, src_g, dst_g = _witness_modules(F0, G0, v, w1)
-    f = ModMorphism(src_f, dst_f, f_comps)
-    g = ModMorphism(src_g, dst_g, g_comps)
-    w = InterleavingWitness(v=v, f=f, g=g, F=F0, G=G0)
+    w = InterleavingWitness(
+        v=v,
+        f=ModMorphism(src_f, dst_f, f_comps, validate=False),
+        g=ModMorphism(src_g, dst_g, g_comps, validate=False),
+        F=F0,
+        G=G0,
+    )
     if not w.verify():
         raise AssertionError("search produced a witness that fails verification")
-    return w
-
-
-def _zero_witness(F0, G0, v, w1):
-    src_f, dst_f, src_g, dst_g = _witness_modules(F0, G0, v, w1)
-    w = InterleavingWitness(
-        v=v,
-        f=ModMorphism(src_f, dst_f, {}, validate=False),
-        g=ModMorphism(src_g, dst_g, {}, validate=False),
-        F=F0,
-        G=G0,
-    )
-    if not w.verify():
-        raise AssertionError("zero witness fails verification")
-    return w
-
-
-def _identity_witness(F0, G0, v):
-    w1 = F0.complex
-    comps = {c: FieldMat.identity(F0.p, d) for c, d in F0.dims.items()}
-    src_f, dst_f, src_g, dst_g = _witness_modules(F0, G0, v, w1)
-    w = InterleavingWitness(
-        v=v,
-        f=ModMorphism(src_f, dst_f, dict(comps), validate=False),
-        g=ModMorphism(src_g, dst_g, dict(comps), validate=False),
-        F=F0,
-        G=G0,
-    )
-    if not w.verify():
-        raise AssertionError("identity witness fails verification")
     return w
 
 
@@ -431,7 +394,8 @@ def is_interleaved(F: ArrModule, G: ArrModule, v, budget: int = DEFAULT_BUDGET):
 
     Raises BudgetExceededError when the search space is too large to sweep;
     that outcome makes no existence claim either way."""
-    return _decide(F, G, v, budget)
+    found = _decide(*_common_base(F, G), v, budget)
+    return None if found is None else _certified(found)
 
 
 def zero_interleaving_criterion(F: ArrModule, v) -> bool:
@@ -490,12 +454,22 @@ def interleaving_distance(
     change, certifying the value and whether it is attained.  Bracketed
     mode bisects down to tol and reports the enclosing interval."""
     v0 = _direction_checked(F.complex, v0)
-    memo: dict[Fraction, InterleavingWitness | None] = {}
+    if mode == "bracketed":
+        if tol is None or tol <= 0:
+            raise ValueError("bracketed mode needs a positive tolerance")
+    elif mode != "exact":
+        raise ValueError("mode must be 'exact' or 'bracketed'")
+    # one base grid for every decision, so the restricted modules keep
+    # their structure-map caches across probes
+    F0, G0 = _common_base(F, G)
+    # parameter -> _decide's unverified components, or None; only the
+    # witness a result carries gets assembled and verified
+    memo: dict[Fraction, tuple | None] = {}
 
     def decide(c: Fraction):
         if c not in memo:
             try:
-                memo[c] = _decide(F, G, tuple(c * x for x in v0), budget)
+                memo[c] = _decide(F0, G0, tuple(c * x for x in v0), budget)
             except BudgetExceededError as e:
                 falses = [x for x, w in memo.items() if w is None]
                 trues = [x for x, w in memo.items() if w is not None]
@@ -508,11 +482,7 @@ def interleaving_distance(
         return memo[c]
 
     if mode == "bracketed":
-        if tol is None or tol <= 0:
-            raise ValueError("bracketed mode needs a positive tolerance")
         return _distance_bracketed(F, G, v0, decide, tol)
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'bracketed'")
 
     cands = _candidate_parameters(F, G, v0)
     n = len(cands)
@@ -530,7 +500,7 @@ def interleaving_distance(
             attained=False,
             mode="exact",
             direction=v0,
-            witness=w,
+            witness=_certified(w),
             witness_parameter=tail,
         )
     lo, hi = 0, n - 1  # decision at cands[hi] is a witness
@@ -548,7 +518,7 @@ def interleaving_distance(
             attained=True,
             mode="exact",
             direction=v0,
-            witness=w,
+            witness=_certified(w),
             witness_parameter=cands[0],
         )
     # the decision is constant strictly between consecutive candidates, so
@@ -561,7 +531,7 @@ def interleaving_distance(
             attained=False,
             mode="exact",
             direction=v0,
-            witness=w_mid,
+            witness=_certified(w_mid),
             witness_parameter=mid_param,
         )
     w = decide(cands[first])
@@ -570,7 +540,7 @@ def interleaving_distance(
         attained=True,
         mode="exact",
         direction=v0,
-        witness=w,
+        witness=_certified(w),
         witness_parameter=cands[first],
     )
 
@@ -583,7 +553,7 @@ def _distance_bracketed(F, G, v0, decide, tol):
             mode="bracketed",
             direction=v0,
             bracket=(Fraction(0), Fraction(0)),
-            witness=decide(Fraction(0)),
+            witness=_certified(decide(Fraction(0))),
             witness_parameter=Fraction(0),
         )
     hi = max(_diameter_bound(F, G, v0), Fraction(1)) + 1
@@ -604,7 +574,7 @@ def _distance_bracketed(F, G, v0, decide, tol):
         mode="bracketed",
         direction=v0,
         bracket=(lo, hi),
-        witness=decide(hi),
+        witness=_certified(decide(hi)),
         witness_parameter=hi,
     )
 

@@ -83,7 +83,9 @@ class ArrModule:
             if axes[j].oriented(a[j]) < axes[j].oriented(b[j]):
                 raw = b[j] - 1 if axes[j].sign == -1 else b[j] + 1
                 mid = b[:j] + (raw,) + b[j + 1 :]
-                out = self.structure_map(a, mid) @ self.cover_map(mid, b)
+                out = self.cover_map(mid, b)
+                if mid != a:
+                    out = self.structure_map(a, mid) @ out
                 self._smap_cache[key] = out
                 return out
         raise AssertionError("unreachable: a != b but no axis differs")
@@ -349,14 +351,12 @@ def smoothing(mod: ArrModule, v, w) -> ModMorphism:
     refined, (mv, mw) = common_refinement(sv.complex, sw.complex)
     rv = restrict_module(sv, refined, mv)
     rw = restrict_module(sw, refined, mw)
+    # shifted cells share the indices of mod's cells, so the refinement
+    # maps already name the cells of mod holding representative + v and + w
     comps = {}
     for c in refined.cells():
-        if not (rv.dim_at(c) and rw.dim_at(c)):
-            continue
-        r = refined.representative(c)
-        hi = mod.complex.cell_of(tuple(ri + vi for ri, vi in zip(r, v)))
-        lo = mod.complex.cell_of(tuple(ri + wi for ri, wi in zip(r, w)))
-        comps[c] = mod.structure_map(lo, hi)
+        if rv.dim_at(c) and rw.dim_at(c):
+            comps[c] = mod.structure_map(mw(c), mv(c))
     return ModMorphism(rv, rw, comps, validate=False)
 
 

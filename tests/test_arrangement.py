@@ -10,6 +10,7 @@ from conepersist.arrangement import (
     INTERIOR,
     AxisGrid,
     CellComplex,
+    axis_cell_map,
     common_refinement,
     orthant_transform,
 )
@@ -93,6 +94,39 @@ def test_axis_cell_of_round_trips_through_representative(breaks, x):
     # representatives are strictly increasing in the raw index
     reps = [g.representative(i) for i in range(g.ncells)]
     assert all(a < b for a, b in zip(reps, reps[1:]))
+
+
+_GRID_POINTS = st.integers(-8, 8).map(lambda n: Fraction(n, 2))
+
+
+@given(st.lists(_GRID_POINTS, max_size=4, unique=True),
+       st.lists(_GRID_POINTS, max_size=3, unique=True),
+       st.integers(0, 6).map(lambda n: Fraction(n, 4)),
+       st.sampled_from((-1, 1)))
+@settings(max_examples=120, deadline=None)
+def test_axis_cell_map_matches_cell_of(breaks, extra, v, sign):
+    # the fine grid is laid out as the decision's witness grid: the coarse
+    # breakpoints, their translates by -v and -2v, and some unrelated ones
+    coarse = AxisGrid(tuple(sorted(breaks)), sign)
+    fine_breaks = set(extra)
+    for k in range(3):
+        fine_breaks |= {b - k * v for b in coarse.breaks}
+    fine = AxisGrid(tuple(sorted(fine_breaks)), sign)
+    for s in (Fraction(0), v, 2 * v):
+        want = [coarse.cell_of(fine.representative(i) + s) for i in range(fine.ncells)]
+        assert axis_cell_map(fine, coarse, s) == want
+
+
+def test_axis_cell_map_rejects_a_grid_that_does_not_refine():
+    coarse = AxisGrid((Fraction(0), Fraction(1)), -1)
+    fine = AxisGrid((Fraction(0),), -1)
+    with pytest.raises(ValueError):
+        axis_cell_map(fine, coarse)
+    # refines only after the shift
+    shifted = AxisGrid((Fraction(-1), Fraction(0)), -1)
+    with pytest.raises(ValueError):
+        axis_cell_map(shifted, coarse)
+    assert axis_cell_map(shifted, coarse, Fraction(1)) == [0, 1, 2, 3, 4]
 
 
 # -- orthant transforms --------------------------------------------------------

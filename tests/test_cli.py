@@ -214,6 +214,21 @@ def test_distance_direction_errors_exit_4(tmp_path, capsys):
         assert lines[0]["error"] == "domain"
 
 
+def test_distance_zero_denominator_direction_exits_4(tmp_path, capsys):
+    a = _save(tmp_path, "p0.json", principal_module(_line_cx(), 2, (0,)))
+    for metric in ("interleaving", "convolution"):
+        code, lines = _run(capsys, "distance", metric, a, a, "--direction", "1/0")
+        assert code == 4
+        assert lines[0]["ok"] is False and lines[0]["error"] == "domain"
+
+
+def test_distance_negative_budget_exits_4(tmp_path, capsys):
+    a = _save(tmp_path, "p0.json", principal_module(_line_cx(), 2, (0,)))
+    code, lines = _run(capsys, "distance", "interleaving", a, a, "--direction", "1", "--budget", "-1")
+    assert code == 4
+    assert lines[0]["ok"] is False and lines[0]["error"] == "domain"
+
+
 def test_distance_incompatible_complexes_exit_4(tmp_path, capsys):
     a = _save(tmp_path, "line.json", principal_module(_line_cx(), 2, (0,)))
     quad = CellComplex(quadrant_cone(), [(0,), (0,)])

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from conepersist.exactla import (
     Diagram,
     FieldMat,
+    _dense_rows,
+    _solve_space_generic,
     affine_solution_space,
     colimit,
     limit,
@@ -114,6 +116,48 @@ def test_solve_agrees_with_truth_table(a, rhs):
     assert (x is not None) == (any_solution is not None)
     if x is not None:
         assert a @ x == rhs
+
+
+@st.composite
+def _f2_block_system(draw):
+    """Unknown blocks of up to 3x3 and equations summing L @ X @ R terms,
+    with identity factors only where the shapes fit."""
+    unknowns = {
+        k: (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        for k in range(draw(st.integers(1, 4)))
+    }
+
+    def mat(r, c):
+        return FieldMat.make(2, [[draw(st.integers(0, 1)) for _ in range(c)] for _ in range(r)], c)
+
+    equations = []
+    for _ in range(draw(st.integers(0, 5))):
+        m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        terms = []
+        for name in draw(st.lists(st.sampled_from(sorted(unknowns)), min_size=1, max_size=3)):
+            r, c = unknowns[name]
+            left = None if r == m and draw(st.booleans()) else mat(m, r)
+            right = None if c == n and draw(st.booleans()) else mat(c, n)
+            terms.append((left, name, right))
+        # homogeneous equations keep enough systems feasible to compare bases
+        rhs = mat(m, n) if draw(st.booleans()) else FieldMat.zero(2, m, n)
+        equations.append((terms, rhs))
+    return unknowns, equations
+
+
+@given(_f2_block_system())
+@settings(max_examples=150, deadline=None)
+def test_sparse_f2_rows_match_the_generic_solver(system):
+    unknowns, equations = system
+    space = affine_solution_space(2, unknowns, equations)
+    layout = space._layout
+    index = {name: (r, c, o) for name, r, c, o in layout}
+    total = sum(r * c for _, r, c, _ in layout)
+    rows, rhs_vals = _dense_rows(2, index, total, equations)
+    ref = _solve_space_generic(2, layout, total, rows, rhs_vals)
+    assert space.feasible == ref.feasible
+    assert space._particular == ref._particular
+    assert space._basis == ref._basis
 
 
 def _chain_diagram(dims, mats, p=2):

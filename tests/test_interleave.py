@@ -7,8 +7,10 @@ import pytest
 from conepersist.arrangement import CellComplex
 from conepersist.cone import ConeSpec
 from conepersist.exactla import FieldMat
+from conepersist import interleave
 from conepersist.interleave import (
     BudgetExceededError,
+    InterleavingWitness,
     interleaving_distance,
     inter_probe,
     is_interleaved,
@@ -186,6 +188,86 @@ def test_corrupted_witness_fails_verification():
     assert not w.verify()
 
 
+# -- certify once ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """Every witness verify() is called on, in call order."""
+    calls = []
+    original = InterleavingWitness.verify
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(InterleavingWitness, "verify", counted)
+    return calls
+
+
+@pytest.fixture
+def found(monkeypatch):
+    """Per decision the search made: whether it found an interleaving."""
+    outcomes = []
+    original = interleave._decide
+
+    def counted(*args):
+        out = original(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(interleave, "_decide", counted)
+    return outcomes
+
+
+def _only_returned_witness_verified(verified, result):
+    assert len(verified) == 1 and verified[0] is result.witness
+    assert result.witness.verify()
+
+
+def test_exact_distance_verifies_only_the_returned_witness(verified, found):
+    F = random_module(_line_cx((0, 1)), 2, 0, max_dim=2)
+    r = interleaving_distance(F, shift_module(F, (Fraction(1, 2),)), (1,))
+    assert r.value == Fraction(1, 2) and r.attained is True
+    assert sum(found) >= 2
+    _only_returned_witness_verified(verified, r)
+
+
+def test_bracketed_distance_verifies_only_the_returned_witness(verified, found):
+    P0 = principal_module(_line_cx(), 2, (0,))
+    P3 = principal_module(_line_cx(), 2, (3,))
+    r = interleaving_distance(P0, P3, (1,), mode="bracketed", tol=Fraction(1, 64))
+    assert r.bracket[0] < 3 <= r.bracket[1]
+    assert sum(found) >= 2
+    _only_returned_witness_verified(verified, r)
+
+
+def test_unattained_distance_verifies_only_the_returned_witness(verified):
+    cx = _line_cx()
+    r = interleaving_distance(point_module(cx, 2, (0,)), zero_module(cx, 2), (1,))
+    assert r.value == 0 and r.attained is False
+    assert r.witness_parameter > 0
+    _only_returned_witness_verified(verified, r)
+
+
+def test_infinite_distance_verifies_nothing(verified, found):
+    P0 = principal_module(_line_cx(), 2, (0,))
+    for mode, tol in (("exact", None), ("bracketed", Fraction(1, 8))):
+        r = interleaving_distance(direct_sum(P0, P0), P0, (1,), mode=mode, tol=tol)
+        assert r.value == float("inf") and r.witness is None
+    assert found and not any(found)
+    assert verified == []
+
+
+def test_decision_verifies_the_witness_it_returns(verified):
+    P0 = principal_module(_line_cx(), 2, (0,))
+    P3 = principal_module(_line_cx(), 2, (3,))
+    w = is_interleaved(P0, P3, (3,))
+    assert len(verified) == 1 and verified[0] is w
+    assert is_interleaved(P0, P3, (1,)) is None
+    assert len(verified) == 1
+
+
 # -- interleaving with zero ----------------------------------------------------------
 
 
@@ -264,6 +346,15 @@ def test_budget_error_carries_known_bounds():
         interleaving_distance(F, G, (1,), budget=0)
     # parameters decided before the failure become certified bounds
     assert e.value.known_true == 1
+    # the memo keeps both kinds of decision, so both bounds can show
+    cx = _line_cx((0, 1, 2))
+    F = random_module(cx, 2, 15, max_dim=2)
+    G = random_module(cx, 2, 715, max_dim=2)
+    assert interleaving_distance(F, G, (1,)).value == 1
+    with pytest.raises(BudgetExceededError) as e:
+        interleaving_distance(F, G, (1,), budget=0)
+    assert e.value.known_false == Fraction(1, 2)
+    assert e.value.known_true == 2
 
 
 def test_inter_probe_reports_budget_inconclusive():
