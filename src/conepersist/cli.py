@@ -7,8 +7,8 @@ Verbs:
   check SUITE ...               run a randomized cross-validation suite
 
 Exit codes: 0 success, 1 suite failure, 2 malformed document, 3 invariant
-violation, 4 domain mismatch (wrong kind, incompatible operands, bad
-direction), 5 search budget exceeded.
+violation, 4 domain mismatch (wrong kind, incompatible operands, bad or
+non-rational --direction or --tol), 5 search budget exceeded.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .checks import SUITES, run_suite
 from .docio import DocumentError, load_document, save_document
 from .interleave import BudgetExceededError, interleaving_distance
 from .persist import ArrModule
-from .rational import format_rational, parse_vector
+from .rational import format_rational, parse_rational
 from .sites import GammaModule, alpha_star, beta_inv, beta_star
 
 __all__ = ["main"]
@@ -138,14 +138,18 @@ def _distance_json(res, metric):
     return out
 
 
-def _cmd_distance(args) -> int:
+def _rational_arg(flag: str, text: str) -> Fraction:
     try:
-        direction = parse_vector(args.direction.split(","))
-    except ZeroDivisionError:
-        raise UsageError("direction has a zero denominator") from None
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag} needs exact rationals p/q, got {text!r}") from None
+
+
+def _cmd_distance(args) -> int:
+    direction = tuple(_rational_arg("--direction", t) for t in args.direction.split(","))
     if args.budget < 0:
         raise UsageError("budget must be nonnegative")
-    tol = Fraction(args.tol) if args.tol else None
+    tol = _rational_arg("--tol", args.tol) if args.tol else None
     if args.metric == "interleaving":
         F = _load_module(args.first)
         G = _load_module(args.second)

@@ -209,7 +209,8 @@ class GaugeSpec:
     def __init__(self, cone: ConeSpec, v):
         self.cone = cone
         self.v: Vec = as_vec(v)
-        if not cone.antipode().interior_contains(self.v):
+        # the antipode's facets are the negated normals
+        if not all(_dot(n, self.v) < 0 for n in cone.normals):
             raise ValueError("gauge base vector must be interior to the antipodal cone")
 
     def __call__(self, x) -> Fraction:
@@ -232,8 +233,9 @@ class GaugeSpec:
             return all(val == 0 for val in x)
         # x/r in B_v iff x/r - v in cone and x/r + v in antipode
         xs = tuple(val / r for val in x)
-        return self.cone.contains(tuple(a - b for a, b in zip(xs, self.v))) and self.cone.antipode().contains(
-            tuple(a + b for a, b in zip(xs, self.v))
+        y = tuple(a + b for a, b in zip(xs, self.v))
+        return self.cone.contains(tuple(a - b for a, b in zip(xs, self.v))) and all(
+            _dot(n, y) <= 0 for n in self.cone.normals
         )
 
     def bisect(self, x, tol) -> tuple[Fraction, Fraction]:

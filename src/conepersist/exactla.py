@@ -3,14 +3,17 @@
 Everything is small and dense: matrices are tuples of tuples of residues
 mod p.  The three consumers are structure maps of persistence modules,
 limits/colimits of cell diagrams, and the block-unknown linear systems that
-back morphism search.  F_2 systems get a bit-packed elimination path since
-they sit on the hot loop.
+back morphism search.  One Gauss-Jordan kernel, `_rref`, serves F_p and
+(for `qlinalg`) Q; `_null_basis` and `_solve_aug` read kernels and
+solutions off it.  F_2 solution spaces, on the hot loop, get a bit-packed
+specialisation.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -150,94 +153,116 @@ class FieldMat:
 
     def rref(self) -> tuple["FieldMat", tuple[int, ...]]:
         rows = [list(r) for r in self.entries]
-        pivots = _rref_mod(rows, self.p)
+        pivots = _rref(rows, self.p)
         return FieldMat(self.p, tuple(tuple(r) for r in rows), self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.entries]
-        return len(_rref_mod(rows, self.p))
+        return len(_rref([list(r) for r in self.entries], self.p))
 
     def kernel_basis(self) -> "FieldMat":
         """Matrix whose columns span the right kernel (ncols x k)."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        cols = []
-        for fc in free:
-            v = [0] * self.ncols
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = (-red.entries[r][fc]) % self.p
-            cols.append(v)
+        rows = [list(r) for r in self.entries]
+        basis = _null_basis(rows, _rref(rows, self.p), self.ncols, self.p)
         return FieldMat(
             self.p,
-            tuple(tuple(col[i] for col in cols) for i in range(self.ncols)),
-            len(cols),
+            tuple(tuple(v[i] for v in basis) for i in range(self.ncols)),
+            len(basis),
         )
 
     def column_space_basis(self) -> "FieldMat":
         """Matrix whose columns are a basis of the column space (nrows x r):
         the pivot columns of the original matrix."""
-        _, piv = self.rref()
-        cols = [tuple(self.entries[i][c] for i in range(self.nrows)) for c in piv]
-        return FieldMat(
-            self.p,
-            tuple(tuple(col[i] for col in cols) for i in range(self.nrows)),
-            len(cols),
-        )
+        piv = _rref([list(r) for r in self.entries], self.p)
+        return FieldMat(self.p, tuple(tuple(row[c] for c in piv) for row in self.entries), len(piv))
 
     def inverse(self) -> "FieldMat | None":
         if self.nrows != self.ncols:
             return None
-        sol = self.solve(FieldMat.identity(self.p, self.nrows))
-        if sol is None:
-            return None
         # a one-sided inverse of a square matrix is two-sided
-        return sol
+        return self.solve(FieldMat.identity(self.p, self.nrows))
 
     def solve(self, rhs: "FieldMat") -> "FieldMat | None":
         """Any X with self @ X = rhs, or None. rhs has matching row count."""
         self._compat(rhs)
         if rhs.nrows != self.nrows:
             raise ValueError("rhs row count mismatch")
-        n, k = self.ncols, rhs.ncols
         aug = [list(r) + list(b) for r, b in zip(self.entries, rhs.entries)]
-        if not aug:
-            return FieldMat.zero(self.p, n, k)
-        pivots = _rref_mod(aug, self.p)
-        if any(c >= n for c in pivots):
-            return None
-        x = [[0] * k for _ in range(n)]
-        for r, c in enumerate(pivots):
-            for j in range(k):
-                x[c][j] = aug[r][n + j]
-        return FieldMat(self.p, tuple(tuple(row) for row in x), k)
+        x, _ = _solve_aug(aug, self.ncols, rhs.ncols, self.p)
+        return None if x is None else FieldMat(self.p, tuple(map(tuple, x)), rhs.ncols)
 
     def __repr__(self):
         return f"FieldMat(p={self.p}, {self.nrows}x{self.ncols})"
 
 
-def _rref_mod(rows: list[list[int]], p: int) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column list."""
+def _rref(rows: list[list], p: int) -> list[int]:
+    """In-place reduced row echelon form over F_p for a prime p, or over Q
+    when p is 0 (entries ints or Fractions); returns the pivot columns.
+
+    The field is picked once per pivot so the row operations stay plain
+    comprehensions.  Over Q the pivot row is scaled by a Fraction, so
+    integer input never turns into floats."""
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots: list[int] = []
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] % p), None)
+        if p:
+            pr = next((i for i in range(r, nr) if rows[i][c] % p), None)
+        else:
+            pr = next((i for i in range(r, nr) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
+        if p:
+            inv = pow(rows[r][c], p - 2, p)
+            rows[r] = piv = [(x * inv) % p for x in rows[r]]
+            for i in range(nr):
                 f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+                if f and i != r:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], piv)]
+        else:
+            inv = Fraction(1) / rows[r][c]
+            rows[r] = piv = [x * inv for x in rows[r]]
+            for i in range(nr):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], piv)]
         pivots.append(c)
         r += 1
         if r == nr:
             break
     return pivots
+
+
+def _null_basis(red: list[list], pivots: Sequence[int], n: int, p: int) -> list[list]:
+    """Basis of the right null space of the first n columns of a reduced
+    row echelon form: one vector per free column."""
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = [zero] * n
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc] % p if p else -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _solve_aug(aug: list[list], n: int, k: int, p: int) -> tuple[list[list] | None, list[int]]:
+    """Reduce [A | B] in place (n unknowns, k right-hand columns); return one
+    X with A X = B, or None when inconsistent, and the pivots, from which
+    _null_basis reads the homogeneous solutions of the same echelon form."""
+    pivots = _rref(aug, p)
+    if pivots and pivots[-1] >= n:
+        return None, pivots
+    zero = 0 if p else Fraction(0)
+    x = [[zero] * k for _ in range(n)]
+    for r, c in enumerate(pivots):
+        x[c] = aug[r][n:]
+    return x, pivots
 
 
 def _rref_f2_packed(rows: Iterable[int]) -> dict[int, int]:
@@ -381,10 +406,7 @@ def limit(d: Diagram) -> LimitResult:
                 row[offset[a] + j] = m.entries[i][j]
             row[offset[b] + i] = (row[offset[b] + i] - 1) % d.p
             rows.append(row)
-    if not rows:
-        k = FieldMat.identity(d.p, total)
-    else:
-        k = FieldMat.make(d.p, rows).kernel_basis()
+    k = FieldMat.make(d.p, rows, total).kernel_basis()
     projections = {
         e: FieldMat(d.p, tuple(k.entries[offset[e] + i] for i in range(d.dims[e])), k.ncols)
         for e in order
@@ -403,21 +425,16 @@ def colimit(d: Diagram) -> ColimitResult:
             for i in range(d.dims[b]):
                 rel[offset[b] + i] = (rel[offset[b] + i] - m.entries[i][j]) % d.p
             relations.append(rel)
-    if relations:
-        red = [row[:] for row in relations]
-        pivots = _rref_mod(red, d.p)
-        red = red[: len(pivots)]
-    else:
-        red, pivots = [], []
+    pivots = _rref(relations, d.p)
     free = [c for c in range(total) if c not in pivots]
-    # quotient coordinates: reduce a vector by the relation rows, then read
-    # off the free coordinates
+    # quotient coordinates: reduce a vector by the reduced relation rows,
+    # then read off the free coordinates
     def project(vec: list[int]) -> list[int]:
         v = vec[:]
         for r, pc in enumerate(pivots):
             if v[pc]:
                 f = v[pc]
-                v = [(x - f * y) % d.p for x, y in zip(v, red[r])]
+                v = [(x - f * y) % d.p for x, y in zip(v, relations[r])]
         return [v[c] for c in free]
 
     injections = {}
@@ -588,25 +605,10 @@ def _f2_rows(index, total, equations) -> list[int]:
 
 def _solve_space_generic(p, layout, total, rows, rhs_vals) -> SolutionSpace:
     aug = [row + [b] for row, b in zip(rows, rhs_vals)]
-    if aug:
-        pivots = _rref_mod(aug, p)
-    else:
-        pivots = []
-    if any(c == total for c in pivots):
+    x, pivots = _solve_aug(aug, total, 1, p)
+    if x is None:
         return SolutionSpace(p, layout, None, [])
-    particular = [0] * total
-    red = aug[: len(pivots)]
-    for r, c in enumerate(pivots):
-        particular[c] = red[r][total]
-    free = [c for c in range(total) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * total
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
-        basis.append(v)
-    return SolutionSpace(p, layout, particular, basis)
+    return SolutionSpace(p, layout, [v[0] for v in x], _null_basis(aug, pivots, total, p))
 
 
 def _solve_space_f2(layout, total, packed) -> SolutionSpace:

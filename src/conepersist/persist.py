@@ -453,29 +453,17 @@ def pointwise_cokernel(f: ModMorphism):
 def _quotient_data(p: int, n: int, img: FieldMat):
     """Projection q: F^n -> F^n/im and a linear section s with q s = id.
 
-    Completes the image basis with unit vectors, inverts, and reads q off
-    the bottom rows of the inverse."""
-    cols = [tuple(img.entries[i][j] for i in range(n)) for j in range(img.ncols)]
-    chosen = []
-    for e in range(n):
-        unit = tuple(1 if i == e else 0 for i in range(n))
-        trial = cols + chosen + [unit]
-        m = FieldMat.make(p, [list(r) for r in zip(*trial)])
-        if m.rank() == len(trial):
-            chosen.append(unit)
-        if len(cols) + len(chosen) == n:
-            break
-    full = cols + chosen
-    e_mat = FieldMat.make(p, [list(r) for r in zip(*full)])
-    inv = e_mat.inverse()
+    Completes the image basis with the unit vectors that are pivots of
+    [img | I], inverts, and reads q off the bottom rows of the inverse."""
+    k = img.ncols
+    _, pivots = FieldMat.hstack(img, FieldMat.identity(p, n)).rref()
+    chosen = [c - k for c in pivots if c >= k]
+    # section: the chosen unit vectors as columns
+    s = FieldMat(p, tuple(tuple(int(i == e) for e in chosen) for i in range(n)), len(chosen))
+    inv = FieldMat.hstack(img, s).inverse()
     if inv is None:
         raise AssertionError("basis completion failed")
-    c = len(chosen)
-    q = FieldMat.make(p, [row[:] for row in inv.entries[n - c :]])
-    # section: the chosen unit vectors as columns
-    s_ent = [[chosen[j][i] for j in range(c)] for i in range(n)]
-    s = FieldMat.make(p, s_ent)
-    return q, s
+    return FieldMat(p, inv.entries[k:], n), s
 
 
 # -- random generation ----------------------------------------------------------

@@ -1,11 +1,13 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction. Sizes here are tiny (cone
-dimensions), so plain Gaussian elimination is the right tool.
+Matrices are lists of lists of Fraction (or int; no float ever appears).
+Sizes are tiny (cone dimensions); elimination is `exactla._rref` at p = 0.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .exactla import _null_basis, _rref, _solve_aug
 
 QMat = list[list[Fraction]]
 
@@ -33,72 +35,33 @@ def qmatmul(a: QMat, b: QMat) -> QMat:
 def qrref(m: QMat) -> tuple[QMat, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices)."""
     a = [row[:] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    return a, _rref(a, 0)
 
 
 def qrank(m: QMat) -> int:
-    if not m:
-        return 0
-    return len(qrref(m)[1])
+    return len(_rref([row[:] for row in m], 0))
 
 
 def qsolve(a: QMat, b) -> tuple[Fraction, ...] | None:
     """One solution of a x = b, or None if inconsistent."""
     if not a:
         return () if all(x == 0 for x in b) else None
-    n = len(a[0])
-    aug = [row[:] + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = qrref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n]
-    return tuple(x)
+    x, _ = _solve_aug([row[:] + [Fraction(b[i])] for i, row in enumerate(a)], len(a[0]), 1, 0)
+    return None if x is None else tuple(v[0] for v in x)
 
 
 def qnullspace(m: QMat) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space."""
     if not m:
         return []
-    n = len(m[0])
-    red, pivots = qrref(m)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+    a = [row[:] for row in m]
+    return [tuple(v) for v in _null_basis(a, _rref(a, 0), len(m[0]), 0)]
 
 
 def qinverse(m: QMat) -> QMat | None:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse needs a square matrix")
-    aug = [row[:] + qidentity(n)[i] for i, row in enumerate(m)]
-    red, pivots = qrref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
+    eye = qidentity(n)
+    x, _ = _solve_aug([row[:] + eye[i] for i, row in enumerate(m)], n, n, 0)
+    return x

@@ -199,11 +199,12 @@ def test_distance_bracketed(tmp_path, capsys):
 
 def test_distance_bracketed_without_tol_exits_3(tmp_path, capsys):
     a = _save(tmp_path, "p0.json", principal_module(_line_cx(), 2, (0,)))
-    code, lines = _run(
-        capsys, "distance", "interleaving", a, a, "--direction", "1", "--mode", "bracketed"
-    )
-    assert code == 3
-    assert lines[0]["error"] == "invalid"
+    for tol in ([], ["--tol", "0"], ["--tol=-1/2"]):
+        code, lines = _run(
+            capsys, "distance", "interleaving", a, a, "--direction", "1", "--mode", "bracketed", *tol
+        )
+        assert code == 3
+        assert lines[0]["error"] == "invalid"
 
 
 def test_distance_direction_errors_exit_4(tmp_path, capsys):
@@ -215,9 +216,17 @@ def test_distance_direction_errors_exit_4(tmp_path, capsys):
 
 
 def test_distance_zero_denominator_direction_exits_4(tmp_path, capsys):
+    # a zero denominator, a decimal or a non-number in either rational flag
+    # is a usage error, never a traceback
     a = _save(tmp_path, "p0.json", principal_module(_line_cx(), 2, (0,)))
-    for metric in ("interleaving", "convolution"):
-        code, lines = _run(capsys, "distance", metric, a, a, "--direction", "1/0")
+    for bad in ("1/0", "0.5", "x"):
+        for metric in ("interleaving", "convolution"):
+            code, lines = _run(capsys, "distance", metric, a, a, "--direction", bad)
+            assert code == 4
+            assert lines[0]["ok"] is False and lines[0]["error"] == "domain"
+        code, lines = _run(
+            capsys, "distance", "interleaving", a, a, "--direction", "1", "--mode", "bracketed", "--tol", bad
+        )
         assert code == 4
         assert lines[0]["ok"] is False and lines[0]["error"] == "domain"
 

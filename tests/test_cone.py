@@ -122,6 +122,22 @@ def test_gauge_ball_membership_is_exact():
     assert g.ball_membership(r * Fraction(1025, 1024), x)
 
 
+def test_gauge_queries_build_no_cones(monkeypatch):
+    cone = _wedge()
+    built = []
+    init = ConeSpec.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConeSpec, "__init__", counting_init)
+    g = GaugeSpec(cone, (1, 2))
+    lo, hi = g.bisect((2, -1), Fraction(1, 64))
+    assert lo <= g((2, -1)) == 3 <= hi
+    assert built == []
+
+
 @given(st.tuples(_coord, _coord))
 @settings(max_examples=40, deadline=None)
 def test_gauge_closed_form_inside_bisection_bracket(x):

@@ -79,15 +79,18 @@ def test_solve_and_inverse():
 
 
 @st.composite
-def _f2_matrix(draw, max_n=3):
+def _fp_matrix(draw, p, max_n=3):
     n = draw(st.integers(0, max_n))
     m = draw(st.integers(0, max_n))
-    rows = [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)]
-    return FieldMat.make(2, rows, m)
+    rows = [[draw(st.integers(0, p - 1)) for _ in range(m)] for _ in range(n)]
+    return FieldMat.make(p, rows, m)
 
 
-@given(_f2_matrix())
-@settings(max_examples=80, deadline=None)
+_fields = st.sampled_from([2, 3])
+
+
+@given(_fields.flatmap(_fp_matrix))
+@settings(max_examples=120, deadline=None)
 def test_kernel_and_column_space_properties(m):
     k = m.kernel_basis()
     assert (m @ k).is_zero()
@@ -96,18 +99,19 @@ def test_kernel_and_column_space_properties(m):
     assert cs.rank() == m.rank() == cs.ncols
 
 
-@given(_f2_matrix(max_n=2), _f2_matrix(max_n=2))
-@settings(max_examples=60, deadline=None)
-def test_solve_agrees_with_truth_table(a, rhs):
+@given(_fields.flatmap(lambda p: st.tuples(_fp_matrix(p, max_n=2), _fp_matrix(p, max_n=2))))
+@settings(max_examples=100, deadline=None)
+def test_solve_agrees_with_truth_table(pair):
+    a, rhs = pair
     if rhs.nrows != a.nrows:
         return
     x = a.solve(rhs)
     # enumerate every candidate solution
     any_solution = None
-    for bits in itertools.product(range(2), repeat=a.ncols * rhs.ncols):
+    for vals in itertools.product(range(a.p), repeat=a.ncols * rhs.ncols):
         cand = FieldMat.make(
-            2,
-            [bits[i * rhs.ncols : (i + 1) * rhs.ncols] for i in range(a.ncols)],
+            a.p,
+            [vals[i * rhs.ncols : (i + 1) * rhs.ncols] for i in range(a.ncols)],
             rhs.ncols,
         )
         if a @ cand == rhs:

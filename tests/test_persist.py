@@ -25,6 +25,7 @@ from conepersist.persist import (
     smoothing,
     zero_module,
     zero_morphism,
+    _quotient_data,
 )
 
 
@@ -239,12 +240,12 @@ def test_smoothing_composes_like_translation():
 # -- kernels, images, cokernels ----------------------------------------------------------------
 
 
-@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_kernel_image_cokernel_ranks(s1, s2, s3):
+@given(st.sampled_from([2, 3]), st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_kernel_image_cokernel_ranks(p, s1, s2, s3):
     cx = _quad_cx((0,), (0,))
-    F = random_module(cx, 2, s1)
-    G = random_module(cx, 2, s2)
+    F = random_module(cx, p, s1)
+    G = random_module(cx, p, s2)
     f = random_morphism(F, G, s3)
     f.validate()
     ker, incl_k = pointwise_kernel(f)
@@ -262,6 +263,10 @@ def test_kernel_image_cokernel_ranks(s1, s2, s3):
         # the kernel inclusion is killed by f, the image by the projection
         assert (f.at(c) @ incl_k.at(c)).is_zero()
         assert (proj.at(c) @ incl_i.at(c)).is_zero()
+        # the cokernel's projection q has a section s with q s = id
+        q, s = _quotient_data(p, G.dim_at(c), incl_i.at(c))
+        assert q @ s == FieldMat.identity(p, q.nrows)
+        assert (q @ incl_i.at(c)).is_zero()
 
 
 def test_kernel_of_identity_and_zero():

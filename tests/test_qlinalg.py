@@ -74,3 +74,20 @@ def test_inverse_round_trip(m):
         assert qmatmul(m, inv) == qidentity(len(m))
     else:
         assert qrank(m) < len(m)
+
+
+def test_integer_rows_never_become_floats():
+    # cone geometry passes primitive integer rows; dividing two ints would
+    # give a float, so the results must hold only ints and Fractions
+    m = [[2, 3, 1], [4, 1, 5]]
+    square = [[2, 1], [1, 3]]
+    red, pivots = qrref(m)
+    x = qsolve(m, [1, 2])
+    null = qnullspace(m)
+    inv = qinverse(square)
+    assert qrank(m) == len(pivots) == 2
+    assert qmatvec(qmat(m), x) == (1, 2)
+    assert all(qmatvec(qmat(m), v) == (0, 0) for v in null)
+    assert qmatmul(qmat(square), inv) == qidentity(2)
+    values = [v for row in red + null + inv for v in row] + list(x)
+    assert values and all(type(v) in (int, Fraction) for v in values)
