@@ -26,7 +26,6 @@ __all__ = [
     "axis_cell_map",
     "cell_map",
     "common_refinement",
-    "shift_complex",
     "orthant_transform",
 ]
 
@@ -248,10 +247,6 @@ class CellComplex:
             [list(a.breaks) + [Fraction(e) for e in ex] for a, ex in zip(self.axes, extra)],
             self.transform,
         )
-
-
-def shift_complex(complex_: CellComplex, v) -> CellComplex:
-    return complex_.shifted(v)
 
 
 def axis_cell_map(fine: AxisGrid, coarse: AxisGrid, shift=0) -> list[int]:

@@ -9,6 +9,7 @@ on), never one route against itself.
 """
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -194,8 +195,10 @@ def ephemeral_case(seed: int, field: int = 2) -> dict:
 # -- suite: gauge closed form vs definitional bisection ----------------------------
 
 
-def _gauge_cone_pool() -> list[ConeSpec]:
-    return [
+@functools.cache
+def _gauge_cone_pool() -> tuple[ConeSpec, ...]:
+    """The cones gauge_case draws from, built and validated once."""
+    return (
         line_cone(),
         quadrant_cone(),
         ConeSpec(normals=[(-1, 0), (1, -1)], generators=[(-1, -1), (0, -1)]),
@@ -203,7 +206,7 @@ def _gauge_cone_pool() -> list[ConeSpec]:
             normals=[(-1, 0, 0), (0, -1, 0), (0, 0, -1)],
             generators=[(-1, 0, 0), (0, -1, 0), (0, 0, -1)],
         ),
-    ]
+    )
 
 
 def gauge_case(seed: int) -> dict:

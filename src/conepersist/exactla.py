@@ -1,17 +1,22 @@
 """Exact linear algebra over prime fields, plus finite poset diagrams.
 
-Everything is small and dense: matrices are tuples of tuples of residues
-mod p.  The three consumers are structure maps of persistence modules,
-limits/colimits of cell diagrams, and the block-unknown linear systems that
-back morphism search.  One Gauss-Jordan kernel, `_rref`, serves F_p and
-(for `qlinalg`) Q; `_null_basis` and `_solve_aug` read kernels and
-solutions off it.  F_2 solution spaces, on the hot loop, get a bit-packed
-specialisation.
+Matrices are tuples of tuples of residues mod p.  The three consumers are
+structure maps of persistence modules, limits/colimits of cell diagrams,
+and the block-unknown linear systems that back morphism search.  Three
+eliminations serve them:
+
+- `_rref`, dense Gauss-Jordan over F_p and (for `qlinalg`) Q, for
+  `FieldMat`'s small matrices; `_null_basis` and `_solve_aug` read kernels
+  and solutions off it.
+- `_rref_f2_packed`, rows as bitmasks, for the solution spaces at p = 2.
+- `_rref_sparse`, rows as dicts column -> residue, for the solution spaces
+  at every other p; `_null_basis` reads their kernels too.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -187,7 +192,7 @@ class FieldMat:
         if rhs.nrows != self.nrows:
             raise ValueError("rhs row count mismatch")
         aug = [list(r) + list(b) for r, b in zip(self.entries, rhs.entries)]
-        x, _ = _solve_aug(aug, self.ncols, rhs.ncols, self.p)
+        x = _solve_aug(aug, self.ncols, rhs.ncols, self.p)
         return None if x is None else FieldMat(self.p, tuple(map(tuple, x)), rhs.ncols)
 
     def __repr__(self):
@@ -234,9 +239,10 @@ def _rref(rows: list[list], p: int) -> list[int]:
     return pivots
 
 
-def _null_basis(red: list[list], pivots: Sequence[int], n: int, p: int) -> list[list]:
+def _null_basis(red: Sequence, pivots: Sequence[int], n: int, p: int) -> list[list]:
     """Basis of the right null space of the first n columns of a reduced
-    row echelon form: one vector per free column."""
+    row echelon form: one vector per free column.  red[r] is the pivot row
+    of pivots[r], a list or a mapping that reads absent columns as 0."""
     zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     pivot_set = set(pivots)
     basis = []
@@ -251,18 +257,17 @@ def _null_basis(red: list[list], pivots: Sequence[int], n: int, p: int) -> list[
     return basis
 
 
-def _solve_aug(aug: list[list], n: int, k: int, p: int) -> tuple[list[list] | None, list[int]]:
+def _solve_aug(aug: list[list], n: int, k: int, p: int) -> list[list] | None:
     """Reduce [A | B] in place (n unknowns, k right-hand columns); return one
-    X with A X = B, or None when inconsistent, and the pivots, from which
-    _null_basis reads the homogeneous solutions of the same echelon form."""
+    X with A X = B, or None when inconsistent."""
     pivots = _rref(aug, p)
     if pivots and pivots[-1] >= n:
-        return None, pivots
+        return None
     zero = 0 if p else Fraction(0)
     x = [[zero] * k for _ in range(n)]
     for r, c in enumerate(pivots):
         x[c] = aug[r][n:]
-    return x, pivots
+    return x
 
 
 def _rref_f2_packed(rows: Iterable[int]) -> dict[int, int]:
@@ -288,6 +293,44 @@ def _rref_f2_packed(rows: Iterable[int]) -> dict[int, int]:
                 pivrow[k] = pr ^ r
         pivrow[low] = r
         pivmask |= low
+    return pivrow
+
+
+def _rref_sparse(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Gauss-Jordan over F_p with rows as dicts column -> nonzero residue.
+
+    The same shape as _rref_f2_packed: each row is reduced by the pivot
+    rows it hits, and a nonzero remainder, scaled to lead with 1, becomes
+    the pivot row of its lowest column, which is then cleared from the
+    earlier pivot rows.  The result, keyed by pivot column, is the reduced
+    row echelon form.  The row dicts are modified in place."""
+    pivrow: dict[int, dict[int, int]] = {}
+    for r in rows:
+        hits = r.keys() & pivrow.keys()
+        if hits:
+            # pivot rows are zero at each other's pivots, so each hit is
+            # cleared by one subtraction, in any order
+            for c in hits:
+                f = r[c]
+                for k, x in pivrow[c].items():
+                    r[k] = r.get(k, 0) - f * x
+            r = {k: v % p for k, v in r.items() if v % p}
+            if not r:
+                continue
+        lead = min(r)
+        inv = pow(r[lead], p - 2, p)
+        if inv != 1:
+            r = {k: v * inv % p for k, v in r.items()}
+        for pr in pivrow.values():
+            f = pr.get(lead)
+            if f:
+                for k, x in r.items():
+                    v = (pr.get(k, 0) - f * x) % p
+                    if v:
+                        pr[k] = v
+                    else:
+                        del pr[k]
+        pivrow[lead] = r
     return pivrow
 
 
@@ -524,8 +567,7 @@ def affine_solution_space(
     index = {name: (r, c, o) for name, r, c, o in layout}
     if p == 2:
         return _solve_space_f2(layout, total, _f2_rows(index, total, equations))
-    rows, rhs_vals = _dense_rows(p, index, total, equations)
-    return _solve_space_generic(p, layout, total, rows, rhs_vals)
+    return _solve_space_sparse(p, layout, total, _sparse_rows(p, index, total, equations))
 
 
 def _check_term(L, R, r, c, m, n) -> None:
@@ -535,30 +577,49 @@ def _check_term(L, R, r, c, m, n) -> None:
         raise ValueError("right factor shape mismatch")
 
 
-def _dense_rows(p, index, total, equations):
-    """One dense coefficient row and one right-hand value per scalar entry
-    of each equation."""
-    rows: list[list[int]] = []
-    rhs_vals: list[int] = []
+def _sparse_rows(p, index, total, equations) -> list[dict[int, int]]:
+    """The F_p rows as dicts column -> nonzero residue (column total holds
+    the right-hand side), built term by term: the row of entry (i, j) of
+    L @ X @ R gets L[i][a] * R[b][j] at the column of X[a][b], for each
+    nonzero L[i][a] and R[b][j].  Zero rows and repeated rows are dropped."""
+    rows: list[dict[int, int]] = []
+    seen: set[frozenset] = set()
     for terms, rhs in equations:
         m, n = rhs.nrows, rhs.ncols
+        if not (m and n):
+            continue
+        parts = []
+        for L, name, R in terms:
+            r, c, o = index[name]
+            _check_term(L, R, r, c, m, n)
+            if L is None:
+                lrows = [[(o + i * c, 1)] if i < r else [] for i in range(m)]
+            else:
+                lrows = [[(o + a * c, x) for a, x in enumerate(row) if x] for row in L.entries]
+            if R is None:
+                rcols = [[(j, 1)] if j < c else [] for j in range(n)]
+            else:
+                rcols = [[(b, row[j]) for b, row in enumerate(R.entries) if row[j]] for j in range(n)]
+            parts.append((lrows, rcols))
         for i in range(m):
+            rhs_row = rhs.entries[i]
             for j in range(n):
-                row = [0] * total
-                for L, name, R in terms:
-                    r, c, o = index[name]
-                    _check_term(L, R, r, c, m, n)
-                    for a in range(r):
-                        la = 1 if L is None and a == i else (L.entries[i][a] if L is not None else 0)
-                        if la == 0:
-                            continue
-                        for b in range(c):
-                            rb = 1 if R is None and b == j else (R.entries[b][j] if R is not None else 0)
-                            if rb:
-                                row[o + a * c + b] = (row[o + a * c + b] + la * rb) % p
-                rows.append(row)
-                rhs_vals.append(rhs.entries[i][j] % p)
-    return rows, rhs_vals
+                v = rhs_row[j] % p
+                row = {total: v} if v else {}
+                for lrows, rcols in parts:
+                    rcol = rcols[j]
+                    for sh, x in lrows[i]:
+                        for b, y in rcol:
+                            k = sh + b
+                            row[k] = (row.get(k, 0) + x * y) % p
+                if 0 in row.values():
+                    row = {k: v for k, v in row.items() if v}
+                if row:
+                    key = frozenset(row.items())
+                    if key not in seen:
+                        seen.add(key)
+                        rows.append(row)
+    return rows
 
 
 def _f2_rows(index, total, equations) -> list[int]:
@@ -603,14 +664,6 @@ def _f2_rows(index, total, equations) -> list[int]:
     return packed
 
 
-def _solve_space_generic(p, layout, total, rows, rhs_vals) -> SolutionSpace:
-    aug = [row + [b] for row, b in zip(rows, rhs_vals)]
-    x, pivots = _solve_aug(aug, total, 1, p)
-    if x is None:
-        return SolutionSpace(p, layout, None, [])
-    return SolutionSpace(p, layout, [v[0] for v in x], _null_basis(aug, pivots, total, p))
-
-
 def _solve_space_f2(layout, total, packed) -> SolutionSpace:
     rhs_bit = 1 << total
     pivrow = _rref_f2_packed(packed)
@@ -633,3 +686,16 @@ def _solve_space_f2(layout, total, packed) -> SolutionSpace:
                 v[c] = 1
         basis.append(v)
     return SolutionSpace(2, layout, particular, basis)
+
+
+def _solve_space_sparse(p, layout, total, rows) -> SolutionSpace:
+    pivrow = _rref_sparse(rows, p)
+    if total in pivrow:
+        return SolutionSpace(p, layout, None, [])
+    pivots = sorted(pivrow)
+    particular = [0] * total
+    for c in pivots:
+        particular[c] = pivrow[c].get(total, 0)
+    # absent columns of a sparse row read as 0
+    red = [defaultdict(int, pivrow[c]) for c in pivots]
+    return SolutionSpace(p, layout, particular, _null_basis(red, pivots, total, p))

@@ -46,7 +46,7 @@ def qsolve(a: QMat, b) -> tuple[Fraction, ...] | None:
     """One solution of a x = b, or None if inconsistent."""
     if not a:
         return () if all(x == 0 for x in b) else None
-    x, _ = _solve_aug([row[:] + [Fraction(b[i])] for i, row in enumerate(a)], len(a[0]), 1, 0)
+    x = _solve_aug([row[:] + [Fraction(b[i])] for i, row in enumerate(a)], len(a[0]), 1, 0)
     return None if x is None else tuple(v[0] for v in x)
 
 
@@ -63,5 +63,4 @@ def qinverse(m: QMat) -> QMat | None:
     if any(len(row) != n for row in m):
         raise ValueError("inverse needs a square matrix")
     eye = qidentity(n)
-    x, _ = _solve_aug([row[:] + eye[i] for i, row in enumerate(m)], n, n, 0)
-    return x
+    return _solve_aug([row[:] + eye[i] for i, row in enumerate(m)], n, n, 0)

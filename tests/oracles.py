@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from conepersist.exactla import Diagram, FieldMat
+from conepersist.exactla import Diagram, FieldMat, SolutionSpace, _check_term, _null_basis, _rref
 from conepersist.persist import ArrModule, restrict_module
 from conepersist.arrangement import common_refinement
 from conepersist.rational import as_vec
@@ -180,3 +180,42 @@ def enumerated_colimit_dim(d: Diagram) -> int:
         dim += 1
     assert d.p**dim == len(span)
     return total - dim
+
+
+def _dense_rows(p, index, total, equations):
+    """One dense coefficient row and one right-hand value per scalar entry
+    of each equation."""
+    rows: list[list[int]] = []
+    rhs_vals: list[int] = []
+    for terms, rhs in equations:
+        m, n = rhs.nrows, rhs.ncols
+        for i in range(m):
+            for j in range(n):
+                row = [0] * total
+                for L, name, R in terms:
+                    r, c, o = index[name]
+                    _check_term(L, R, r, c, m, n)
+                    for a in range(r):
+                        la = 1 if L is None and a == i else (L.entries[i][a] if L is not None else 0)
+                        if la == 0:
+                            continue
+                        for b in range(c):
+                            rb = 1 if R is None and b == j else (R.entries[b][j] if R is not None else 0)
+                            if rb:
+                                row[o + a * c + b] = (row[o + a * c + b] + la * rb) % p
+                rows.append(row)
+                rhs_vals.append(rhs.entries[i][j] % p)
+    return rows, rhs_vals
+
+
+def _solve_space_generic(p, layout, total, rows, rhs_vals) -> SolutionSpace:
+    """The dense reference for affine_solution_space: eliminate the full
+    augmented matrix of every scalar equation."""
+    aug = [row + [b] for row, b in zip(rows, rhs_vals)]
+    pivots = _rref(aug, p)
+    if pivots and pivots[-1] >= total:
+        return SolutionSpace(p, layout, None, [])
+    particular = [0] * total
+    for r, c in enumerate(pivots):
+        particular[c] = aug[r][total]
+    return SolutionSpace(p, layout, particular, _null_basis(aug, pivots, total, p))

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from conepersist.exactla import (
     Diagram,
     FieldMat,
-    _dense_rows,
-    _solve_space_generic,
     affine_solution_space,
     colimit,
     limit,
 )
-from oracles import enumerated_colimit_dim, enumerated_limit_dim
+from oracles import _dense_rows, _solve_space_generic, enumerated_colimit_dim, enumerated_limit_dim
 
 
 def test_basic_arithmetic_mod_2_and_5():
@@ -123,7 +121,7 @@ def test_solve_agrees_with_truth_table(pair):
 
 
 @st.composite
-def _f2_block_system(draw):
+def _block_system(draw, p):
     """Unknown blocks of up to 3x3 and equations summing L @ X @ R terms,
     with identity factors only where the shapes fit."""
     unknowns = {
@@ -132,7 +130,7 @@ def _f2_block_system(draw):
     }
 
     def mat(r, c):
-        return FieldMat.make(2, [[draw(st.integers(0, 1)) for _ in range(c)] for _ in range(r)], c)
+        return FieldMat.make(p, [[draw(st.integers(0, p - 1)) for _ in range(c)] for _ in range(r)], c)
 
     equations = []
     for _ in range(draw(st.integers(0, 5))):
@@ -144,24 +142,35 @@ def _f2_block_system(draw):
             right = None if c == n and draw(st.booleans()) else mat(c, n)
             terms.append((left, name, right))
         # homogeneous equations keep enough systems feasible to compare bases
-        rhs = mat(m, n) if draw(st.booleans()) else FieldMat.zero(2, m, n)
+        rhs = mat(m, n) if draw(st.booleans()) else FieldMat.zero(p, m, n)
         equations.append((terms, rhs))
     return unknowns, equations
 
 
-@given(_f2_block_system())
-@settings(max_examples=150, deadline=None)
-def test_sparse_f2_rows_match_the_generic_solver(system):
+def _assert_matches_dense_reference(p, system):
     unknowns, equations = system
-    space = affine_solution_space(2, unknowns, equations)
+    space = affine_solution_space(p, unknowns, equations)
     layout = space._layout
     index = {name: (r, c, o) for name, r, c, o in layout}
     total = sum(r * c for _, r, c, _ in layout)
-    rows, rhs_vals = _dense_rows(2, index, total, equations)
-    ref = _solve_space_generic(2, layout, total, rows, rhs_vals)
+    rows, rhs_vals = _dense_rows(p, index, total, equations)
+    ref = _solve_space_generic(p, layout, total, rows, rhs_vals)
     assert space.feasible == ref.feasible
     assert space._particular == ref._particular
     assert space._basis == ref._basis
+
+
+@given(_block_system(2))
+@settings(max_examples=150, deadline=None)
+def test_sparse_f2_rows_match_the_generic_solver(system):
+    _assert_matches_dense_reference(2, system)
+
+
+@given(st.sampled_from([3, 5, 7]).flatmap(lambda p: st.tuples(st.just(p), _block_system(p))))
+@settings(max_examples=300, deadline=None)
+def test_sparse_rows_match_the_dense_reference(case):
+    p, system = case
+    _assert_matches_dense_reference(p, system)
 
 
 def _chain_diagram(dims, mats, p=2):

@@ -1,5 +1,6 @@
 """Package metadata."""
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -15,15 +16,25 @@ def test_version_matches_pyproject():
 
 def test_traced_names_resolve():
     # bench/tracing.py wraps these names on `--trace 1` and looks each one
-    # up with vars(holder)[attr]; a missing name raises KeyError there
+    # up with vars(holder)[attr]; a missing name raises KeyError there.
+    # Its result counters read the call's arguments by parameter name.
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.LAYERS
+    read_args = {
+        "affine_solution_space": {"p", "unknowns"},
+        "load_document": {"path"},
+        "save_document": {"path"},
+    }
+    assert set(tracing._ON_RESULT) == set(read_args)
     for _, owner, attr in tracing.LAYERS:
         mod_name, _, cls_name = owner.partition(".")
-        holder = getattr(conepersist, mod_name)
+        holder = importlib.import_module(f"conepersist.{mod_name}")
         if cls_name:
             holder = getattr(holder, cls_name)
-        assert callable(vars(holder)[attr]), (owner, attr)
+        fn = vars(holder)[attr]
+        assert callable(fn), (owner, attr)
+        if attr in read_args:
+            assert read_args[attr] <= set(inspect.signature(fn).parameters), (owner, attr)
