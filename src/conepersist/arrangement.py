@@ -27,6 +27,7 @@ __all__ = [
     "cell_map",
     "common_refinement",
     "orthant_transform",
+    "table_lookup",
 ]
 
 Cell = tuple[int, ...]
@@ -111,29 +112,31 @@ class CellComplex:
         if len(breakpoints) != self.dim:
             raise ValueError("one breakpoint list per axis required")
         self.transform = tuple(tuple(Fraction(x) for x in row) for row in transform) if transform else None
-        signs = self._axis_signs()
+        signs = self._axis_signs(cone, self.transform)
         self.axes: tuple[AxisGrid, ...] = tuple(
             AxisGrid(tuple(sorted({Fraction(b) for b in as_vec(bs)})), signs[j])
             for j, bs in enumerate(breakpoints)
         )
 
-    def _axis_signs(self) -> list[int]:
+    @staticmethod
+    def _axis_signs(cone: ConeSpec, transform=None) -> list[int]:
         # the transported cone {u : xi . T^-1 u >= 0} must be a signed
         # orthant: one normal per axis, supported on that axis alone
-        if self.transform is not None:
-            tinv = qinverse(qmat(self.transform))
+        dim = cone.dim
+        if transform is not None:
+            tinv = qinverse(qmat(transform))
             if tinv is None:
                 raise ValueError("transform is singular")
             rows = []
-            for xi in self.cone.normals:
+            for xi in cone.normals:
                 rows.append(tuple(
-                    sum(Fraction(xi[i]) * tinv[i][j] for i in range(self.dim)) for j in range(self.dim)
+                    sum(Fraction(xi[i]) * tinv[i][j] for i in range(dim)) for j in range(dim)
                 ))
         else:
-            rows = [as_vec(xi) for xi in self.cone.normals]
-        if len(rows) != self.dim:
+            rows = [as_vec(xi) for xi in cone.normals]
+        if len(rows) != dim:
             raise ValueError("cone is not compatible: need exactly one facet per axis")
-        signs: list[int | None] = [None] * self.dim
+        signs: list[int | None] = [None] * dim
         for r in rows:
             support = [j for j, x in enumerate(r) if x != 0]
             if len(support) != 1:
@@ -143,6 +146,16 @@ class CellComplex:
                 raise ValueError(f"axis {j} has two facet normals")
             signs[j] = 1 if r[j] > 0 else -1
         return [s for s in signs]  # all set: len(rows) == dim and no dupes
+
+    def _derived(self, breaks) -> "CellComplex":
+        """Complex on this cone and transform with the given breakpoints
+        per axis, each already a sorted sequence of distinct Fractions.
+        The cone and transform are shared, so the axis signs carry over
+        and nothing is parsed or derived again."""
+        out = object.__new__(CellComplex)
+        out.cone, out.dim, out.transform = self.cone, self.dim, self.transform
+        out.axes = tuple(AxisGrid(tuple(bs), a.sign) for a, bs in zip(self.axes, breaks))
+        return out
 
     # -- identity ------------------------------------------------------------
 
@@ -197,16 +210,22 @@ class CellComplex:
         """Transported cone order on cells (product of oriented axis chains)."""
         return all(ax.oriented(i) <= ax.oriented(j) for ax, i, j in zip(self.axes, a, b))
 
+    def step_down(self, cell: Cell, j: int) -> Cell | None:
+        """The cell covered by cell on axis j (one step down in the cone
+        order), or None when cell is at the bottom of that axis."""
+        ax = self.axes[j]
+        if ax.oriented(cell[j]) == 0:
+            return None
+        raw = cell[j] - 1 if ax.sign == -1 else cell[j] + 1
+        return cell[:j] + (raw,) + cell[j + 1 :]
+
     def cover_pairs(self):
         """All pairs (a, b) with a covered by b in the cell order."""
         for b in self.cells():
-            for j, ax in enumerate(self.axes):
-                if ax.oriented(b[j]) == 0:
-                    continue
-                # oriented step down by one on axis j
-                raw = b[j] - 1 if ax.sign == -1 else b[j] + 1
-                a = b[:j] + (raw,) + b[j + 1 :]
-                yield a, b
+            for j in range(self.dim):
+                a = self.step_down(b, j)
+                if a is not None:
+                    yield a, b
 
     def just_inside(self, cell: Cell, direction: str) -> Cell:
         if direction not in (INTERIOR, ANTIPODAL):
@@ -235,18 +254,12 @@ class CellComplex:
         v = as_vec(v)
         if len(v) != self.dim:
             raise ValueError("shift vector dimension mismatch")
-        return CellComplex(
-            self.cone,
-            [[b - vj for b in a.breaks] for a, vj in zip(self.axes, v)],
-            self.transform,
-        )
+        return self._derived([[b - vj for b in a.breaks] for a, vj in zip(self.axes, v)])
 
     def with_extra_breaks(self, extra) -> "CellComplex":
-        return CellComplex(
-            self.cone,
-            [list(a.breaks) + [Fraction(e) for e in ex] for a, ex in zip(self.axes, extra)],
-            self.transform,
-        )
+        if len(extra) != self.dim:
+            raise ValueError("one breakpoint list per axis required")
+        return self._derived([sorted(set(a.breaks).union(as_vec(ex))) for a, ex in zip(self.axes, extra)])
 
 
 def axis_cell_map(fine: AxisGrid, coarse: AxisGrid, shift=0) -> list[int]:
@@ -281,10 +294,15 @@ def axis_cell_map(fine: AxisGrid, coarse: AxisGrid, shift=0) -> list[int]:
 
 def cell_map(fine: CellComplex, coarse: CellComplex, shift=None):
     """Fine cell -> the coarse cell holding its translate by shift (zero
-    when omitted), read from per-axis integer tables."""
+    when omitted), as a lookup built once from per-axis integer tables."""
     shift = shift or (0,) * fine.dim
-    tables = [axis_cell_map(f, c, sj) for f, c, sj in zip(fine.axes, coarse.axes, shift)]
-    return lambda cell: tuple(t[i] for t, i in zip(tables, cell))
+    return table_lookup(fine, [axis_cell_map(f, c, sj) for f, c, sj in zip(fine.axes, coarse.axes, shift)])
+
+
+def table_lookup(fine: CellComplex, tables):
+    """The cell map whose axis j sends raw index i to tables[j][i], as a
+    dict lookup over every cell of fine."""
+    return dict(zip(fine.cells(), product(*tables))).__getitem__
 
 
 def common_refinement(*complexes: CellComplex):
@@ -304,5 +322,5 @@ def common_refinement(*complexes: CellComplex):
     refined = next(
         (c for c in complexes if all(a.breaks == m for a, m in zip(c.axes, merged))),
         None,
-    ) or CellComplex(first.cone, merged, first.transform)
+    ) or first._derived(merged)
     return refined, [cell_map(refined, c) for c in complexes]

@@ -1,9 +1,8 @@
-"""Exact linear algebra over prime fields, plus finite poset diagrams.
+"""Exact linear algebra over prime fields.
 
-Matrices are tuples of tuples of residues mod p.  The three consumers are
-structure maps of persistence modules, limits/colimits of cell diagrams,
-and the block-unknown linear systems that back morphism search.  Three
-eliminations serve them:
+Matrices are tuples of tuples of residues mod p.  The two consumers are
+structure maps of persistence modules and the block-unknown linear
+systems that back morphism search.  Three eliminations serve them:
 
 - `_rref`, dense Gauss-Jordan over F_p and (for `qlinalg`) Q, for
   `FieldMat`'s small matrices; `_null_basis` and `_solve_aug` read kernels
@@ -15,17 +14,13 @@ eliminations serve them:
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "FieldMat",
-    "Diagram",
-    "LimitResult",
-    "ColimitResult",
     "SolutionSpace",
     "affine_solution_space",
 ]
@@ -334,165 +329,6 @@ def _rref_sparse(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, 
     return pivrow
 
 
-# -- finite poset diagrams --------------------------------------------------
-
-
-class Diagram:
-    """A functor from a finite poset to F_p vector spaces.
-
-    elements: hashable poset elements; leq: the order relation (callable);
-    dims: dimension per element; arrows: matrix per cover pair (a, b) with
-    a covered by b, mapping the space at a to the space at b (shape
-    dims[b] x dims[a]).  Construction validates cover keys, shapes, and
-    functoriality (all composites between comparable pairs agree).
-    """
-
-    def __init__(
-        self,
-        elements: Sequence,
-        leq: Callable,
-        dims: dict,
-        arrows: dict,
-        p: int,
-    ):
-        _check_prime(p)
-        self.p = p
-        self.elements = tuple(elements)
-        self.dims = dict(dims)
-        es = self.elements
-        self._leq = {(a, b) for a in es for b in es if leq(a, b)}
-        for a in es:
-            if (a, a) not in self._leq:
-                raise ValueError("order must be reflexive")
-        covers = set()
-        for a, b in self._leq:
-            if a == b:
-                continue
-            if not any(c != a and c != b and (a, c) in self._leq and (c, b) in self._leq for c in es):
-                covers.add((a, b))
-        self.covers = covers
-        if set(arrows) != covers:
-            missing = covers - set(arrows)
-            extra = set(arrows) - covers
-            raise ValueError(f"arrows must be keyed by cover pairs; missing={missing} extra={extra}")
-        self.arrows = dict(arrows)
-        for (a, b), m in self.arrows.items():
-            if m.p != p or (m.nrows, m.ncols) != (self.dims[b], self.dims[a]):
-                raise ValueError(f"arrow {a}->{b} has wrong shape or field")
-        self._composites: dict = {}
-        self._validate_functorial()
-
-    def leq(self, a, b) -> bool:
-        return (a, b) in self._leq
-
-    def composite(self, a, b) -> FieldMat:
-        """The composite map from a up to b (a <= b), path independent."""
-        if (a, b) not in self._leq:
-            raise ValueError(f"{a} not <= {b}")
-        return self._composite_checked(a, b)[0]
-
-    def _composite_checked(self, a, b):
-        key = (a, b)
-        if key in self._composites:
-            return self._composites[key]
-        if a == b:
-            res = (FieldMat.identity(self.p, self.dims[a]), True)
-        else:
-            candidates = []
-            for (m, bb), arrow in self.arrows.items():
-                if bb == b and (a, m) in self._leq:
-                    sub, ok = self._composite_checked(a, m)
-                    candidates.append((arrow * sub, ok))
-            first = candidates[0][0]
-            agree = all(ok and c == first for c, ok in candidates)
-            res = (first, agree)
-        self._composites[key] = res
-        return res
-
-    def _validate_functorial(self) -> None:
-        for a in self.elements:
-            for b in self.elements:
-                if (a, b) in self._leq and not self._composite_checked(a, b)[1]:
-                    raise ValueError(f"functoriality violation between {a} and {b}")
-
-    def _order_blocks(self) -> tuple[list, dict, int]:
-        order = list(self.elements)
-        offset = {}
-        total = 0
-        for e in order:
-            offset[e] = total
-            total += self.dims[e]
-        return order, offset, total
-
-
-@dataclass(frozen=True)
-class LimitResult:
-    dim: int
-    projections: dict  # element -> FieldMat (dims[e] x dim)
-
-
-@dataclass(frozen=True)
-class ColimitResult:
-    dim: int
-    injections: dict  # element -> FieldMat (dim x dims[e])
-
-
-def limit(d: Diagram) -> LimitResult:
-    """Limit of the diagram: compatible families, as the kernel of the
-    stacked constraints arrow(x_a) - x_b = 0 over all cover pairs."""
-    order, offset, total = d._order_blocks()
-    rows: list[list[int]] = []
-    for (a, b), m in sorted(d.arrows.items(), key=lambda kv: (order.index(kv[0][0]), order.index(kv[0][1]))):
-        for i in range(d.dims[b]):
-            row = [0] * total
-            for j in range(d.dims[a]):
-                row[offset[a] + j] = m.entries[i][j]
-            row[offset[b] + i] = (row[offset[b] + i] - 1) % d.p
-            rows.append(row)
-    k = FieldMat.make(d.p, rows, total).kernel_basis()
-    projections = {
-        e: FieldMat(d.p, tuple(k.entries[offset[e] + i] for i in range(d.dims[e])), k.ncols)
-        for e in order
-    }
-    return LimitResult(k.ncols, projections)
-
-
-def colimit(d: Diagram) -> ColimitResult:
-    """Colimit: direct sum of the spaces modulo x_a ~ arrow(x_a)."""
-    order, offset, total = d._order_blocks()
-    relations: list[list[int]] = []
-    for (a, b), m in sorted(d.arrows.items(), key=lambda kv: (order.index(kv[0][0]), order.index(kv[0][1]))):
-        for j in range(d.dims[a]):
-            rel = [0] * total
-            rel[offset[a] + j] = 1
-            for i in range(d.dims[b]):
-                rel[offset[b] + i] = (rel[offset[b] + i] - m.entries[i][j]) % d.p
-            relations.append(rel)
-    pivots = _rref(relations, d.p)
-    free = [c for c in range(total) if c not in pivots]
-    # quotient coordinates: reduce a vector by the reduced relation rows,
-    # then read off the free coordinates
-    def project(vec: list[int]) -> list[int]:
-        v = vec[:]
-        for r, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [(x - f * y) % d.p for x, y in zip(v, relations[r])]
-        return [v[c] for c in free]
-
-    injections = {}
-    for e in order:
-        cols = []
-        for j in range(d.dims[e]):
-            unit = [0] * total
-            unit[offset[e] + j] = 1
-            cols.append(project(unit))
-        injections[e] = FieldMat(
-            d.p, tuple(tuple(col[i] for col in cols) for i in range(len(free))), d.dims[e]
-        )
-    return ColimitResult(len(free), injections)
-
-
 # -- block-unknown linear systems -------------------------------------------
 
 
@@ -541,9 +377,6 @@ class SolutionSpace:
 
     def particular(self) -> dict | None:
         return self._unflatten(list(self._particular)) if self.feasible else None
-
-    def iter_coeffs(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(self.p), repeat=self.dim)
 
 
 def affine_solution_space(

@@ -22,17 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import CellComplex, cell_map, common_refinement
+from .arrangement import CellComplex, cell_map, common_refinement, table_lookup
 from .exactla import FieldMat, SolutionSpace, affine_solution_space
-from .persist import (
-    ArrModule,
-    ModMorphism,
-    restrict_module,
-    restrict_morphism,
-    shift_module,
-    shift_morphism,
-    smoothing,
-)
+from .persist import ArrModule, ModMorphism, restrict_module, smoothing
 from .rational import Vec, as_vec
 from .sites import beta_star
 
@@ -43,7 +35,6 @@ __all__ = [
     "is_interleaved",
     "interleaving_distance",
     "zero_interleaving_criterion",
-    "inter_probe",
     "isometry_check",
     "DEFAULT_BUDGET",
 ]
@@ -71,18 +62,17 @@ class BudgetExceededError(Exception):
         super().__init__(msg)
 
 
-def _restrict_onto(mod: ArrModule, fine: CellComplex) -> ArrModule:
-    refined, (m_self, _) = common_refinement(mod.complex, fine)
-    if refined != fine:
-        raise ValueError("target complex does not refine the module's complex")
-    return restrict_module(mod, refined, m_self)
-
-
-def _restrict_morphism_onto(f: ModMorphism, fine: CellComplex) -> ModMorphism:
-    refined, (m_self, _) = common_refinement(f.src.complex, fine)
-    if refined != fine:
-        raise ValueError("target complex does not refine the morphism's complex")
-    return restrict_morphism(f, refined, m_self)
+def _pulls_back(mod: ArrModule, src: ArrModule, cmap) -> bool:
+    """Whether mod is src restricted along the cell map cmap, compared
+    cell by cell without building the restriction."""
+    cx = mod.complex
+    if mod.p != src.p or any(mod.dim_at(c) != src.dim_at(cmap(c)) for c in cx.cells()):
+        return False
+    return all(
+        mod.cover_map(a, b) == src.structure_map(cmap(a), cmap(b))
+        for a, b in cx.cover_pairs()
+        if mod.dim_at(a) and mod.dim_at(b)
+    )
 
 
 @dataclass
@@ -96,26 +86,46 @@ class InterleavingWitness:
     G: ArrModule
 
     def verify(self) -> bool:
+        """Whether f and g form a v-interleaving of F and G.
+
+        With W the witness grid (the complex of f) and w2 its refinement
+        by the 2v-translates of F's breakpoints, it checks cell by cell:
+
+        - f and g are natural, with components of the right shapes;
+        - f.src, f.dst, g.src and g.dst are the restrictions of
+          shift(F, v), G, shift(G, v) and F onto W;
+        - on every cell t of w2, g(a1 t) @ f(b1 t) equals the structure
+          map F(s0 t <= s2 t), and f(a1 t) @ g(b1 t) equals G(s0 t <= s2 t).
+          Here a1 and b1 send t and t + v to their cells of W, and s0 and
+          s2 send t and t + 2v to their cells of the module's grid.
+
+        Raises ValueError when the grids of F, G and W disagree on cone or
+        coordinates, or when W or w2 does not refine a grid these cell
+        maps need."""
+        f, g, F, G, v = self.f, self.g, self.F, self.G, self.v
         try:
-            self.f.validate()
-            self.g.validate()
+            f.validate()
+            g.validate()
         except ValueError:
             return False
-        two_v = tuple(2 * x for x in self.v)
-        w2 = self.f.src.complex.with_extra_breaks(
-            [[b - 2 * vj for b in ax.breaks] for ax, vj in zip(self.F.complex.axes, self.v)]
-        )
-        lhs_f = _restrict_morphism_onto(self.g, w2).compose(
-            _restrict_morphism_onto(shift_morphism(self.f, self.v), w2)
-        )
-        chi_f = _restrict_morphism_onto(smoothing(self.F, two_v, (Fraction(0),) * len(self.v)), w2)
-        if lhs_f != chi_f:
+        W = f.src.complex
+        if not (W.compatible(F.complex) and W.compatible(G.complex)):
+            raise ValueError("witness grid and modules disagree on cone or coordinates")
+        if g.src.complex != W:
             return False
-        lhs_g = _restrict_morphism_onto(self.f, w2).compose(
-            _restrict_morphism_onto(shift_morphism(self.g, self.v), w2)
-        )
-        chi_g = _restrict_morphism_onto(smoothing(self.G, two_v, (Fraction(0),) * len(self.v)), w2)
-        return lhs_g == chi_g
+        for mod, src, shift in ((f.src, F, v), (f.dst, G, None), (g.src, G, v), (g.dst, F, None)):
+            if not _pulls_back(mod, src, cell_map(W, src.complex, shift)):
+                return False
+        two_v = tuple(2 * x for x in v)
+        w2 = W.with_extra_breaks([[b - 2 * vj for b in ax.breaks] for ax, vj in zip(F.complex.axes, v)])
+        a1, b1 = cell_map(w2, W), cell_map(w2, W, v)
+        for A, outer, inner in ((F, g, f), (G, f, g)):
+            s0, s2 = cell_map(w2, A.complex), cell_map(w2, A.complex, two_v)
+            for t in w2.cells():
+                lo, hi = s0(t), s2(t)
+                if A.dim_at(lo) and A.dim_at(hi) and outer.at(a1(t)) @ inner.at(b1(t)) != A.structure_map(lo, hi):
+                    return False
+        return True
 
 
 @dataclass
@@ -194,20 +204,9 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
         comps = {c: FieldMat.identity(p, d) for c, d in F0.dims.items()}
         return F0, G0, v, base, comps, dict(comps)
 
-    two_v = tuple(2 * x for x in v)
-    w1 = base.with_extra_breaks(
-        [[b - vj for b in ax.breaks] for ax, vj in zip(base.axes, v)]
-    )
-    w2 = w1.with_extra_breaks(
-        [[b - tj for b in ax.breaks] for ax, tj in zip(base.axes, two_v)]
-    )
-    t0 = cell_map(w1, base)
-    tv = cell_map(w1, base, v)
-    s0 = cell_map(w2, base)
-    sv = cell_map(w2, base, v)
-    s2 = cell_map(w2, base, two_v)
-    a1_of = cell_map(w2, w1)
-    b1_of = cell_map(w2, w1, v)
+    grids = _Grids(base, v)
+    w1, w2 = grids.w1, grids.w2
+    t0, tv, s0, sv, s2, a1_of, b1_of = map(grids.lookup, ("t0", "tv", "s0", "sv", "s2", "a1", "b1"))
 
     w2_cells = list(w2.cells())
     chi_f = {t: F0.structure_map(s0(t), s2(t)) for t in w2_cells}
@@ -219,9 +218,9 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
     # sound pruning: a witness makes the F comparison factor through G at
     # the v-translate (and symmetrically), bounding its rank
     for t in w2_cells:
-        if chi_f[t].rank() > G0.dim_at(sv(t)):
+        if F0.structure_rank(s0(t), s2(t)) > G0.dim_at(sv(t)):
             return None
-        if chi_g[t].rank() > F0.dim_at(sv(t)):
+        if G0.structure_rank(s0(t), s2(t)) > F0.dim_at(sv(t)):
             return None
 
     f_side = _Side("f", F0, G0)
@@ -242,6 +241,8 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
     # complete witness, misses fall through to the exhaustive sweep
     probe = _linear_probes(p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of, b1_of)
     if probe is None:
+        if _rank_pair_refutes(F0, G0, grids):
+            return None
         if enum_side.space.dim > budget:
             raise BudgetExceededError(enum_side.space.dim, budget)
         probe = _enumerate(
@@ -252,6 +253,84 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
     e_comps, s_comps = probe
     f_comps, g_comps = (s_comps, e_comps) if swap else (e_comps, s_comps)
     return F0, G0, v, w1, f_comps, g_comps
+
+
+# A breakpoint x of a decision grid is tagged with the translates of the
+# base breakpoints it lies on: 1 for b, 2 for b - v, 4 for b - 2v.  Per
+# cell map: its source grid, and the tags that make x + shift a breakpoint
+# of its target (w1 at shift v holds b and b - v, so x on b - v or b - 2v).
+_TABLE_TARGETS = (
+    ("t0", "w1", 1), ("tv", "w1", 2),
+    ("s0", "w2", 1), ("sv", "w2", 2), ("s2", "w2", 4),
+    ("a1", "w2", 1 | 2), ("b1", "w2", 2 | 4),
+)
+
+
+def _axis_table(masks: list[int], target: int) -> list[int]:
+    """Axis cell table of a grid, given the tags of its breakpoints, into
+    the grid of those breakpoints tagged in target: a breakpoint in target
+    goes to its own cell, every other cell to the open cell it lies in."""
+    out, j = [], 0
+    for m in masks:
+        if m & target:
+            out += (2 * j, 2 * j + 1)
+            j += 1
+        else:
+            out += (2 * j, 2 * j)
+    out.append(2 * j)
+    return out
+
+
+class _Grids:
+    """The grids of one decision in shift v: the witness grid w1 (the base
+    and its v-translate) and the composite grid w2 (w1 and the base's
+    2v-translate), with the per-axis tables of their cell maps.  t0 and
+    tv send w1 to the base at shifts 0 and v; s0, sv and s2 send w2 to the
+    base at 0, v and 2v; a1 and b1 send w2 to w1 at 0 and v.  One merge of
+    the base breakpoints with their two translates gives both grids per
+    axis, and integer walks over the tags give every table."""
+
+    def __init__(self, base: CellComplex, v: Vec):
+        breaks = {"w1": [], "w2": []}
+        self.tables: dict[str, list[list[int]]] = {name: [] for name, _, _ in _TABLE_TARGETS}
+        for ax, vj in zip(base.axes, v):
+            tags: dict[Fraction, int] = {}
+            for k in range(3):
+                for b in ax.breaks:
+                    x = b - k * vj
+                    tags[x] = tags.get(x, 0) | 1 << k
+            merged = sorted(tags.items())  # three sorted runs
+            on_w1 = [(x, m) for x, m in merged if m & 3]
+            masks = {"w1": [m for _, m in on_w1], "w2": [m for _, m in merged]}
+            breaks["w1"].append([x for x, _ in on_w1])
+            breaks["w2"].append([x for x, _ in merged])
+            for name, grid, target in _TABLE_TARGETS:
+                self.tables[name].append(_axis_table(masks[grid], target))
+        self.w1, self.w2 = base._derived(breaks["w1"]), base._derived(breaks["w2"])
+
+    def lookup(self, name: str):
+        """The cell map of that name, as a lookup on its source grid."""
+        grid = next(g for n, g, _ in _TABLE_TARGETS if n == name)
+        return table_lookup(getattr(self, grid), self.tables[name])
+
+
+def _rank_pair_refutes(F0: ArrModule, G0: ArrModule, grids: _Grids) -> bool:
+    """Whether some cells t <= u of w2 have rank F0(s0 t <= s2 u) above
+    rank G0(sv t <= sv u), or the same with F0 and G0 swapped.  A
+    v-interleaving factors F0(s0 t <= s2 u) through G0(sv t <= sv u), so
+    either refutes it.  The cell maps and the cell order factor by axis,
+    so the base-cell quadruples (s0 t, s2 u, sv t, sv u) are the product
+    of one small set per axis."""
+    per_axis = []
+    for ax, s0, sv, s2 in zip(grids.w2.axes, grids.tables["s0"], grids.tables["sv"], grids.tables["s2"]):
+        up = sorted(range(ax.ncells), key=ax.oriented)
+        per_axis.append({(s0[t], s2[u], sv[t], sv[u]) for i, t in enumerate(up) for u in up[i:]})
+    rank_f, rank_g = F0.structure_rank, G0.structure_rank
+    for quads in itertools.product(*per_axis):
+        a, b, c, d = zip(*quads)
+        if rank_f(a, b) > rank_g(c, d) or rank_g(a, b) > rank_f(c, d):
+            return True
+    return False
 
 
 def _linear_probes(
@@ -373,14 +452,12 @@ def _certified(found) -> InterleavingWitness:
     """Assemble the witness from _decide's components and verify it; the
     one witness a public entry point returns is checked here, and only it."""
     F0, G0, v, w1, f_comps, g_comps = found
-    src_f = _restrict_onto(shift_module(F0, v), w1)
-    dst_f = _restrict_onto(G0, w1)
-    src_g = _restrict_onto(shift_module(G0, v), w1)
-    dst_g = _restrict_onto(F0, w1)
+    # shift(A, v) restricted onto w1 is A restricted along the map at v
+    t0, tv = cell_map(w1, F0.complex), cell_map(w1, F0.complex, v)
     w = InterleavingWitness(
         v=v,
-        f=ModMorphism(src_f, dst_f, f_comps, validate=False),
-        g=ModMorphism(src_g, dst_g, g_comps, validate=False),
+        f=ModMorphism(restrict_module(F0, w1, tv), restrict_module(G0, w1, t0), f_comps, validate=False),
+        g=ModMorphism(restrict_module(G0, w1, tv), restrict_module(F0, w1, t0), g_comps, validate=False),
         F=F0,
         G=G0,
     )
@@ -580,19 +657,6 @@ def _distance_bracketed(F, G, v0, decide, tol):
 
 
 # -- derived checks ---------------------------------------------------------------
-
-
-def inter_probe(F: ArrModule, G: ArrModule, directions, budget: int = DEFAULT_BUDGET):
-    """Decision outcome for each shift in directions; 'budget' marks an
-    inconclusive search."""
-    out = []
-    for v in directions:
-        try:
-            w = is_interleaved(F, G, v, budget)
-            out.append({"direction": as_vec(v), "interleaved": w is not None})
-        except BudgetExceededError:
-            out.append({"direction": as_vec(v), "interleaved": "budget"})
-    return out
 
 
 @dataclass

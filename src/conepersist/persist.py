@@ -8,6 +8,7 @@ structure maps.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 from .arrangement import Cell, CellComplex, common_refinement
@@ -49,6 +50,7 @@ class ArrModule:
             if self.dim_at(a) and self.dim_at(b):
                 self.maps[(a, b)] = m
         self._smap_cache: dict[tuple[Cell, Cell], FieldMat] = {}
+        self._rank_cache: dict[tuple[Cell, Cell], int] = {}
         if validate:
             self.validate()
 
@@ -78,17 +80,25 @@ class ArrModule:
         if not self.complex.cell_leq(a, b):
             raise ValueError(f"cells are not ordered: {a} !<= {b}")
         # peel one cover step off b toward a on the first axis that differs
-        axes = self.complex.axes
         for j in range(len(b)):
-            if axes[j].oriented(a[j]) < axes[j].oriented(b[j]):
-                raw = b[j] - 1 if axes[j].sign == -1 else b[j] + 1
-                mid = b[:j] + (raw,) + b[j + 1 :]
+            if a[j] != b[j]:
+                mid = self.complex.step_down(b, j)
                 out = self.cover_map(mid, b)
                 if mid != a:
                     out = self.structure_map(a, mid) @ out
                 self._smap_cache[key] = out
                 return out
         raise AssertionError("unreachable: a != b but no axis differs")
+
+    def structure_rank(self, a: Cell, b: Cell) -> int:
+        """Rank of structure_map(a, b), cached per cell pair."""
+        if a == b:
+            return self.dim_at(a)
+        key = (a, b)
+        r = self._rank_cache.get(key)
+        if r is None:
+            r = self._rank_cache[key] = self.structure_map(a, b).rank()
+        return r
 
     def eval_map(self, x, y) -> FieldMat:
         """Structure map F(cell of y) -> F(cell of x) for x <= y in the cone
@@ -125,24 +135,15 @@ class ArrModule:
 
     def _check_squares(self):
         # commuting squares suffice: the cell poset is a product of chains
-        axes = self.complex.axes
-        for b in self.complex.cells():
-            downs = []
-            for j, ax in enumerate(axes):
-                if ax.oriented(b[j]) == 0:
-                    continue
-                raw = b[j] - 1 if ax.sign == -1 else b[j] + 1
-                downs.append((j, b[:j] + (raw,) + b[j + 1 :]))
-            for i in range(len(downs)):
-                for k in range(i + 1, len(downs)):
-                    j1, m1 = downs[i]
-                    j2, m2 = downs[k]
-                    raw2 = m1[j2] - 1 if axes[j2].sign == -1 else m1[j2] + 1
-                    a = m1[:j2] + (raw2,) + m1[j2 + 1 :]
-                    left = self.cover_map(a, m1) @ self.cover_map(m1, b)
-                    right = self.cover_map(a, m2) @ self.cover_map(m2, b)
-                    if left != right:
-                        raise ValueError(f"structure maps do not commute over {b}")
+        cx = self.complex
+        for b in cx.cells():
+            downs = [(j, m) for j in range(cx.dim) if (m := cx.step_down(b, j)) is not None]
+            for (_, m1), (j2, m2) in itertools.combinations(downs, 2):
+                a = cx.step_down(m1, j2)
+                left = self.cover_map(a, m1) @ self.cover_map(m1, b)
+                right = self.cover_map(a, m2) @ self.cover_map(m2, b)
+                if left != right:
+                    raise ValueError(f"structure maps do not commute over {b}")
 
     def is_zero(self) -> bool:
         return not self.dims
@@ -194,6 +195,8 @@ class ModMorphism:
             if m.p != self.src.p:
                 raise ValueError("component field mismatch")
         for a, b in self.src.complex.cover_pairs():
+            if not (self.dst.dim_at(a) and self.src.dim_at(b)):
+                continue  # both sides are empty matrices of one shape
             lhs = self.dst.cover_map(a, b) @ self.at(b)
             rhs = self.at(a) @ self.src.cover_map(a, b)
             if lhs != rhs:
@@ -520,13 +523,7 @@ def _try_random_module(complex_, p, rng, max_dim, zero_chance):
         key=lambda c: (ax0.oriented(c[0]), ax1.oriented(c[1])),
     )
 
-    def down(cell, j):
-        ax = complex_.axes[j]
-        if ax.oriented(cell[j]) == 0:
-            return None
-        raw = cell[j] - 1 if ax.sign == -1 else cell[j] + 1
-        return cell[:j] + (raw,) + cell[j + 1 :]
-
+    down = complex_.step_down
     for b in order:
         m1 = down(b, 0)
         m2 = down(b, 1)

@@ -133,18 +133,10 @@ def open_union(u: OpenSet, v: OpenSet) -> OpenSet:
 
 
 def _orthant_signs(cone: ConeSpec) -> list[int]:
-    signs: list[int | None] = [None] * cone.dim
-    if len(cone.normals) != cone.dim:
-        raise ValueError("intersection needs an axis-aligned cone")
-    for r in cone.normals:
-        support = [j for j, x in enumerate(r) if x != 0]
-        if len(support) != 1:
-            raise ValueError("intersection needs an axis-aligned cone")
-        j = support[0]
-        if signs[j] is not None:
-            raise ValueError("intersection needs an axis-aligned cone")
-        signs[j] = 1 if r[j] > 0 else -1
-    return signs  # complete by the counts above
+    try:
+        return CellComplex._axis_signs(cone)
+    except ValueError:
+        raise ValueError("intersection needs an axis-aligned cone") from None
 
 
 def open_intersect(u: OpenSet, v: OpenSet) -> OpenSet:

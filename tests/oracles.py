@@ -7,11 +7,20 @@ that agreement with the library is evidence, not circularity.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
-from conepersist.exactla import Diagram, FieldMat, SolutionSpace, _check_term, _null_basis, _rref
-from conepersist.persist import ArrModule, restrict_module
-from conepersist.arrangement import common_refinement
+from conepersist.exactla import FieldMat, SolutionSpace, _check_prime, _check_term, _null_basis, _rref
+from conepersist.persist import (
+    ArrModule,
+    ModMorphism,
+    restrict_module,
+    restrict_morphism,
+    shift_morphism,
+    smoothing,
+)
+from conepersist.arrangement import CellComplex, common_refinement
 from conepersist.rational import as_vec
 
 
@@ -30,10 +39,11 @@ def _entry_assignments(shapes, p):
         yield out
 
 
-def raw_is_interleaved(F: ArrModule, G: ArrModule, v) -> bool:
+def raw_is_interleaved(F: ArrModule, G: ArrModule, v, max_candidates: int = 2**16) -> bool:
     """Exhaustive decision: enumerate every candidate component family for
     both directions and check naturality and the two triangle identities
-    entry by entry."""
+    entry by entry.  Raises ValueError when either direction has more than
+    max_candidates families."""
     v = as_vec(v)
     refined, (mf, mg) = common_refinement(F.complex, G.complex)
     F0 = restrict_module(F, refined, mf)
@@ -80,8 +90,8 @@ def raw_is_interleaved(F: ArrModule, G: ArrModule, v) -> bool:
     g_shapes = family_shapes(G0, F0)
     nf = sum(r * c for r, c in f_shapes.values())
     ng = sum(r * c for r, c in g_shapes.values())
-    if nf > 16 or ng > 16:
-        raise ValueError(f"oracle instance too large: {nf}+{ng} entries")
+    if p**nf > max_candidates or p**ng > max_candidates:
+        raise ValueError(f"oracle instance too large: {nf}+{ng} entries over F_{p}")
 
     f_cands = [f for f in _entry_assignments(f_shapes, p) if natural(f, F0, G0)]
     g_cands = [g for g in _entry_assignments(g_shapes, p) if natural(g, G0, F0)]
@@ -122,6 +132,165 @@ def bottleneck_matching(src_births, dst_births, speed) -> Fraction | float:
         if best is None or cost < best:
             best = cost
     return best / Fraction(speed)
+
+
+# -- finite poset diagrams (the reference for limits and colimits) ----------
+
+
+class Diagram:
+    """A functor from a finite poset to F_p vector spaces.
+
+    elements: hashable poset elements; leq: the order relation (callable);
+    dims: dimension per element; arrows: matrix per cover pair (a, b) with
+    a covered by b, mapping the space at a to the space at b (shape
+    dims[b] x dims[a]).  Construction validates cover keys, shapes, and
+    functoriality (all composites between comparable pairs agree).
+    """
+
+    def __init__(
+        self,
+        elements: Sequence,
+        leq: Callable,
+        dims: dict,
+        arrows: dict,
+        p: int,
+    ):
+        _check_prime(p)
+        self.p = p
+        self.elements = tuple(elements)
+        self.dims = dict(dims)
+        es = self.elements
+        self._leq = {(a, b) for a in es for b in es if leq(a, b)}
+        for a in es:
+            if (a, a) not in self._leq:
+                raise ValueError("order must be reflexive")
+        covers = set()
+        for a, b in self._leq:
+            if a == b:
+                continue
+            if not any(c != a and c != b and (a, c) in self._leq and (c, b) in self._leq for c in es):
+                covers.add((a, b))
+        self.covers = covers
+        if set(arrows) != covers:
+            missing = covers - set(arrows)
+            extra = set(arrows) - covers
+            raise ValueError(f"arrows must be keyed by cover pairs; missing={missing} extra={extra}")
+        self.arrows = dict(arrows)
+        for (a, b), m in self.arrows.items():
+            if m.p != p or (m.nrows, m.ncols) != (self.dims[b], self.dims[a]):
+                raise ValueError(f"arrow {a}->{b} has wrong shape or field")
+        self._composites: dict = {}
+        self._validate_functorial()
+
+    def leq(self, a, b) -> bool:
+        return (a, b) in self._leq
+
+    def composite(self, a, b) -> FieldMat:
+        """The composite map from a up to b (a <= b), path independent."""
+        if (a, b) not in self._leq:
+            raise ValueError(f"{a} not <= {b}")
+        return self._composite_checked(a, b)[0]
+
+    def _composite_checked(self, a, b):
+        key = (a, b)
+        if key in self._composites:
+            return self._composites[key]
+        if a == b:
+            res = (FieldMat.identity(self.p, self.dims[a]), True)
+        else:
+            candidates = []
+            for (m, bb), arrow in self.arrows.items():
+                if bb == b and (a, m) in self._leq:
+                    sub, ok = self._composite_checked(a, m)
+                    candidates.append((arrow * sub, ok))
+            first = candidates[0][0]
+            agree = all(ok and c == first for c, ok in candidates)
+            res = (first, agree)
+        self._composites[key] = res
+        return res
+
+    def _validate_functorial(self) -> None:
+        for a in self.elements:
+            for b in self.elements:
+                if (a, b) in self._leq and not self._composite_checked(a, b)[1]:
+                    raise ValueError(f"functoriality violation between {a} and {b}")
+
+    def _order_blocks(self) -> tuple[list, dict, int]:
+        order = list(self.elements)
+        offset = {}
+        total = 0
+        for e in order:
+            offset[e] = total
+            total += self.dims[e]
+        return order, offset, total
+
+
+@dataclass(frozen=True)
+class LimitResult:
+    dim: int
+    projections: dict  # element -> FieldMat (dims[e] x dim)
+
+
+@dataclass(frozen=True)
+class ColimitResult:
+    dim: int
+    injections: dict  # element -> FieldMat (dim x dims[e])
+
+
+def limit(d: Diagram) -> LimitResult:
+    """Limit of the diagram: compatible families, as the kernel of the
+    stacked constraints arrow(x_a) - x_b = 0 over all cover pairs."""
+    order, offset, total = d._order_blocks()
+    rows: list[list[int]] = []
+    for (a, b), m in sorted(d.arrows.items(), key=lambda kv: (order.index(kv[0][0]), order.index(kv[0][1]))):
+        for i in range(d.dims[b]):
+            row = [0] * total
+            for j in range(d.dims[a]):
+                row[offset[a] + j] = m.entries[i][j]
+            row[offset[b] + i] = (row[offset[b] + i] - 1) % d.p
+            rows.append(row)
+    k = FieldMat.make(d.p, rows, total).kernel_basis()
+    projections = {
+        e: FieldMat(d.p, tuple(k.entries[offset[e] + i] for i in range(d.dims[e])), k.ncols)
+        for e in order
+    }
+    return LimitResult(k.ncols, projections)
+
+
+def colimit(d: Diagram) -> ColimitResult:
+    """Colimit: direct sum of the spaces modulo x_a ~ arrow(x_a)."""
+    order, offset, total = d._order_blocks()
+    relations: list[list[int]] = []
+    for (a, b), m in sorted(d.arrows.items(), key=lambda kv: (order.index(kv[0][0]), order.index(kv[0][1]))):
+        for j in range(d.dims[a]):
+            rel = [0] * total
+            rel[offset[a] + j] = 1
+            for i in range(d.dims[b]):
+                rel[offset[b] + i] = (rel[offset[b] + i] - m.entries[i][j]) % d.p
+            relations.append(rel)
+    pivots = _rref(relations, d.p)
+    free = [c for c in range(total) if c not in pivots]
+    # quotient coordinates: reduce a vector by the reduced relation rows,
+    # then read off the free coordinates
+    def project(vec: list[int]) -> list[int]:
+        v = vec[:]
+        for r, pc in enumerate(pivots):
+            if v[pc]:
+                f = v[pc]
+                v = [(x - f * y) % d.p for x, y in zip(v, relations[r])]
+        return [v[c] for c in free]
+
+    injections = {}
+    for e in order:
+        cols = []
+        for j in range(d.dims[e]):
+            unit = [0] * total
+            unit[offset[e] + j] = 1
+            cols.append(project(unit))
+        injections[e] = FieldMat(
+            d.p, tuple(tuple(col[i] for col in cols) for i in range(len(free))), d.dims[e]
+        )
+    return ColimitResult(len(free), injections)
 
 
 def enumerated_limit_dim(d: Diagram) -> int:
@@ -219,3 +388,43 @@ def _solve_space_generic(p, layout, total, rows, rhs_vals) -> SolutionSpace:
     for r, c in enumerate(pivots):
         particular[c] = aug[r][total]
     return SolutionSpace(p, layout, particular, _null_basis(aug, pivots, total, p))
+
+
+# -- the composite-morphism reference for InterleavingWitness.verify ----------
+
+
+def _restrict_onto(mod: ArrModule, fine: CellComplex) -> ArrModule:
+    refined, (m_self, _) = common_refinement(mod.complex, fine)
+    if refined != fine:
+        raise ValueError("target complex does not refine the module's complex")
+    return restrict_module(mod, refined, m_self)
+
+
+def _restrict_morphism_onto(f: ModMorphism, fine: CellComplex) -> ModMorphism:
+    refined, (m_self, _) = common_refinement(f.src.complex, fine)
+    if refined != fine:
+        raise ValueError("target complex does not refine the morphism's complex")
+    return restrict_morphism(f, refined, m_self)
+
+
+def reference_verify(w) -> bool:
+    """InterleavingWitness.verify by whole morphisms: restrict g, the
+    v-shift of f and the 2v comparison morphism of F onto the 2v grid and
+    compare g after f with it as morphisms (endpoints included), then the
+    same with f and g, F and G swapped."""
+    try:
+        w.f.validate()
+        w.g.validate()
+    except ValueError:
+        return False
+    two_v = tuple(2 * x for x in w.v)
+    w2 = w.f.src.complex.with_extra_breaks(
+        [[b - 2 * vj for b in ax.breaks] for ax, vj in zip(w.F.complex.axes, w.v)]
+    )
+    lhs_f = _restrict_morphism_onto(w.g, w2).compose(_restrict_morphism_onto(shift_morphism(w.f, w.v), w2))
+    chi_f = _restrict_morphism_onto(smoothing(w.F, two_v, (Fraction(0),) * len(w.v)), w2)
+    if lhs_f != chi_f:
+        return False
+    lhs_g = _restrict_morphism_onto(w.f, w2).compose(_restrict_morphism_onto(shift_morphism(w.g, w.v), w2))
+    chi_g = _restrict_morphism_onto(smoothing(w.G, two_v, (Fraction(0),) * len(w.v)), w2)
+    return lhs_g == chi_g

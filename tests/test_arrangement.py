@@ -11,6 +11,7 @@ from conepersist.arrangement import (
     AxisGrid,
     CellComplex,
     axis_cell_map,
+    cell_map,
     common_refinement,
     orthant_transform,
 )
@@ -284,3 +285,35 @@ def test_common_refinement_rejects_mismatched_cones():
     w = CellComplex(_wedge(), [[0], [0]], transform=orthant_transform(_wedge()))
     with pytest.raises(ValueError):
         common_refinement(a, w)
+
+
+def _cone_case(k):
+    """A line, a quadrant, or a wedge with its orthant transform."""
+    return [(_line(), None), (_quadrant(), None), (_wedge(), orthant_transform(_wedge()))][k]
+
+
+@given(st.integers(0, 2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_derived_grids_match_the_constructor(k, data):
+    cone, transform = _cone_case(k)
+    axis_points = st.lists(_GRID_POINTS, max_size=3, unique=True)
+    breaks = [data.draw(axis_points) for _ in range(cone.dim)]
+    extra = [data.draw(axis_points) for _ in range(cone.dim)]
+    other = [data.draw(axis_points) for _ in range(cone.dim)]
+    v = [data.draw(_GRID_POINTS) for _ in range(cone.dim)]
+    cx = CellComplex(cone, breaks, transform)
+    refined, maps = common_refinement(cx, CellComplex(cone, other, transform))
+    for got, raw in (
+        (cx.shifted(v), [[b - vj for b in bs] for bs, vj in zip(breaks, v)]),
+        (cx.with_extra_breaks(extra), [bs + ex for bs, ex in zip(breaks, extra)]),
+        (refined, [bs + ot for bs, ot in zip(breaks, other)]),
+    ):
+        want = CellComplex(cone, raw, transform)
+        assert got == want and hash(got) == hash(want)
+        assert got.axes == want.axes  # breakpoints and signs
+        assert (got.cone, got.transform, got.dim) == (want.cone, want.transform, want.dim)
+    # each refinement map is the per-axis table composition, cell by cell
+    for m, coarse in zip(maps, (cx, CellComplex(cone, other, transform))):
+        tables = [axis_cell_map(f, c) for f, c in zip(refined.axes, coarse.axes)]
+        for cell in refined.cells():
+            assert m(cell) == cell_map(refined, coarse)(cell) == tuple(t[i] for t, i in zip(tables, cell))

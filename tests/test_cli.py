@@ -281,8 +281,8 @@ def test_distance_convolution_gauge_errors_exit_4(tmp_path, capsys):
 
 def test_distance_budget_exhausted_exits_5(tmp_path, capsys):
     cx = _line_cx((0, 1))
-    a = _save(tmp_path, "f.json", random_module(cx, 2, 63))
-    b = _save(tmp_path, "g.json", random_module(cx, 2, 563))
+    a = _save(tmp_path, "f.json", random_module(cx, 2, 176))
+    b = _save(tmp_path, "g.json", random_module(cx, 2, 676))
     code, lines = _run(
         capsys, "distance", "interleaving", a, b, "--direction", "1", "--budget", "0"
     )

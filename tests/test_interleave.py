@@ -3,22 +3,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from conepersist.arrangement import CellComplex
+from conepersist.arrangement import CellComplex, axis_cell_map, cell_map
 from conepersist.cone import ConeSpec
+from conepersist.docio import witness_from_payload, witness_to_payload
 from conepersist.exactla import FieldMat
 from conepersist import interleave
 from conepersist.interleave import (
     BudgetExceededError,
     InterleavingWitness,
     interleaving_distance,
-    inter_probe,
     is_interleaved,
     isometry_check,
     zero_interleaving_criterion,
 )
 from conepersist.persist import (
     ArrModule,
+    ModMorphism,
     direct_sum,
     point_module,
     principal_module,
@@ -27,7 +30,7 @@ from conepersist.persist import (
     zero_module,
 )
 
-from oracles import raw_is_interleaved
+from oracles import raw_is_interleaved, reference_verify
 
 
 def _line():
@@ -38,9 +41,9 @@ def _line_cx(breaks=(0,)):
     return CellComplex(_line(), [list(breaks)])
 
 
-def _quad_cx():
+def _quad_cx(bx=(0,), by=(0,)):
     quad = ConeSpec(normals=[(-1, 0), (0, -1)], generators=[(-1, 0), (0, -1)])
-    return CellComplex(quad, [[0], [0]])
+    return CellComplex(quad, [list(bx), list(by)])
 
 
 def _half_open_interval():
@@ -329,9 +332,11 @@ def test_deeper_directions_shrink_distance():
 
 
 def test_budget_zero_raises_on_enumeration():
+    # a pair whose decision needs the sweep: the probes miss and no rank
+    # pair refutes, because an interleaving exists
     cx = _line_cx((0, 1))
-    F = random_module(cx, 2, 30)
-    G = random_module(cx, 2, 1030)
+    F = random_module(cx, 2, 46)
+    G = random_module(cx, 2, 1046)
     with pytest.raises(BudgetExceededError) as e:
         is_interleaved(F, G, (Fraction(1, 2),), budget=0)
     assert e.value.required > e.value.budget == 0
@@ -339,9 +344,9 @@ def test_budget_zero_raises_on_enumeration():
 
 def test_budget_error_carries_known_bounds():
     cx = _line_cx((0, 1))
-    F = random_module(cx, 2, 63)
-    G = random_module(cx, 2, 563)
-    assert interleaving_distance(F, G, (1,)).value == 1
+    F = random_module(cx, 2, 176)
+    G = random_module(cx, 2, 676)
+    assert interleaving_distance(F, G, (1,)).value == Fraction(1, 2)
     with pytest.raises(BudgetExceededError) as e:
         interleaving_distance(F, G, (1,), budget=0)
     # parameters decided before the failure become certified bounds
@@ -357,10 +362,23 @@ def test_budget_error_carries_known_bounds():
     assert e.value.known_true == 2
 
 
+def inter_probe(F, G, directions, budget):
+    """Decision outcome for each shift in directions; 'budget' marks an
+    inconclusive search."""
+    out = []
+    for v in directions:
+        try:
+            w = is_interleaved(F, G, v, budget)
+            out.append({"direction": v, "interleaved": w is not None})
+        except BudgetExceededError:
+            out.append({"direction": v, "interleaved": "budget"})
+    return out
+
+
 def test_inter_probe_reports_budget_inconclusive():
     cx = _line_cx((0, 1))
-    F = random_module(cx, 2, 30)
-    G = random_module(cx, 2, 1030)
+    F = random_module(cx, 2, 46)
+    G = random_module(cx, 2, 1046)
     out = inter_probe(F, G, [(Fraction(1, 2),)], budget=0)
     assert out[0]["interleaved"] == "budget"
 
@@ -376,3 +394,147 @@ def test_isometry_check_on_samples():
         rec = isometry_check(F, G, (1,))
         assert rec.equal
         assert rec.ambient.value == rec.stabilized.value
+
+
+# -- cellwise verify, rank pairs and decision grids ---------------------------------
+
+
+_HALVES = st.integers(-2, 2).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def _small_complex(draw):
+    """A line with one or two breakpoints, or a plane with one per axis."""
+    if draw(st.booleans()):
+        return _quad_cx([draw(_HALVES)], [draw(_HALVES)])
+    return _line_cx(draw(st.lists(_HALVES, min_size=1, max_size=2, unique=True)))
+
+
+def _outcome(check, w):
+    """check(w), or the type of the exception it raises."""
+    try:
+        return check(w)
+    except Exception as e:  # noqa: BLE001 - the type is the outcome
+        return type(e)
+
+
+@given(st.sampled_from((2, 3)), _small_complex(), st.integers(0, 10**6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_verify_matches_the_reference(p, cx, seed, data):
+    F = random_module(cx, p, seed, max_dim=2 if cx.dim == 1 else 1)
+    u = tuple(data.draw(_HALVES) for _ in range(cx.dim))
+    v = tuple(abs(x) + data.draw(st.integers(0, 2).map(lambda n: Fraction(n, 2))) for x in u)
+    try:
+        w = is_interleaved(F, shift_module(F, u), v, budget=8)
+    except BudgetExceededError:
+        reject()
+    assert w is not None  # a translate by u is v-interleaved for v >= |u|
+    variants = [
+        w,
+        InterleavingWitness(w.v, w.g, w.f, w.F, w.G),
+        InterleavingWitness(w.v, w.f, w.g, w.G, w.F),
+    ]
+    for name in ("f", "g"):
+        old = getattr(w, name)
+        comps = old.components
+        if not comps:
+            continue
+        cell = data.draw(st.sampled_from(sorted(comps)))
+        m = comps[cell]
+        i, j = data.draw(st.integers(0, m.nrows - 1)), data.draw(st.integers(0, m.ncols - 1))
+        flipped = [list(r) for r in m.entries]
+        flipped[i][j] += 1
+        for new in (
+            {**comps, cell: FieldMat.make(p, flipped)},
+            {c: x for c, x in comps.items() if c != cell},
+        ):
+            mor = ModMorphism(old.src, old.dst, new, validate=False)
+            f, g = (mor, w.g) if name == "f" else (w.f, mor)
+            variants.append(InterleavingWitness(w.v, f, g, w.F, w.G))
+    assert w.verify() is True
+    for x in variants:
+        assert _outcome(InterleavingWitness.verify, x) == _outcome(reference_verify, x)
+    loaded = witness_from_payload(witness_to_payload(w))
+    assert loaded.verify() is reference_verify(loaded) is True
+
+
+def test_verify_checks_the_witness_endpoints():
+    # two skyscrapers are interleaved by zero maps, and with F and G
+    # swapped every mixed composite still matches (all are zero, and no
+    # cell sees the swapped modules across 2v); only the endpoint check
+    # sees that f no longer starts at the v-shift of F
+    cx = _line_cx()
+    w = is_interleaved(point_module(cx, 2, (0,)), point_module(cx, 2, (Fraction(1, 2),)), (1,))
+    assert w is not None and w.verify() and not w.f.components
+    swapped = InterleavingWitness(w.v, w.f, w.g, w.G, w.F)
+    assert swapped.verify() is reference_verify(swapped) is False
+
+
+@given(st.sampled_from((2, 3)), _small_complex(), _small_complex(), st.integers(0, 10**6),
+       st.integers(0, 10**6), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_pair_refutations_are_sound(p, cx, cy, sf, sg, translate, data):
+    F = random_module(cx, p, sf, max_dim=2, zero_chance=0.5)
+    if translate or cy.dim != cx.dim:
+        G = shift_module(F, tuple(data.draw(_HALVES) for _ in range(cx.dim)))
+    else:
+        G = random_module(cy, p, sg, max_dim=2, zero_chance=0.5)
+    v = tuple(data.draw(st.integers(0, 3).map(lambda n: Fraction(n, 2))) for _ in range(cx.dim))
+    F0, G0 = interleave._common_base(F, G)
+    refutes = interleave._rank_pair_refutes(F0, G0, interleave._Grids(F0.complex, v))
+    try:
+        interleaved = raw_is_interleaved(F, G, v, max_candidates=3**6)
+    except ValueError:
+        reject()  # too large for the brute-force oracle
+    assert not (refutes and interleaved)
+
+
+def test_rank_pair_refutes_before_the_sweep(monkeypatch):
+    # F and G have the same dimensions on every cell, so the pointwise
+    # prune passes, and no probe can succeed.  Only G carries a class from
+    # the top cell to the bottom one across the breakpoint: rank
+    # G((0,) <= (2,)) = 1, while F's maps across it compose to zero.
+    cx = _line_cx((0,))
+    dims = {(0,): 1, (1,): 2, (2,): 1}
+    F = ArrModule(cx, 2, dims, {
+        ((0,), (1,)): FieldMat.make(2, [[1, 0]]),
+        ((1,), (2,)): FieldMat.make(2, [[0], [0]]),
+    })
+    G = ArrModule(cx, 2, dims, {
+        ((0,), (1,)): FieldMat.make(2, [[0, 1]]),
+        ((1,), (2,)): FieldMat.make(2, [[0], [1]]),
+    })
+    v = (Fraction(1, 2),)
+    sweeps, refuted = [], []
+    enumerate_, refutes = interleave._enumerate, interleave._rank_pair_refutes
+    monkeypatch.setattr(interleave, "_enumerate", lambda *a: sweeps.append(a) or enumerate_(*a))
+    monkeypatch.setattr(
+        interleave, "_rank_pair_refutes", lambda *a: refuted.append(refutes(*a)) or refuted[-1]
+    )
+    assert is_interleaved(F, G, v) is None
+    assert refuted == [True] and sweeps == []
+    assert raw_is_interleaved(F, G, v) is False
+
+
+@given(_small_complex(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_decision_grids_match_the_constructor_and_cell_maps(base, data):
+    v = tuple(data.draw(st.integers(0, 4).map(lambda n: Fraction(n, 4))) for _ in range(base.dim))
+    grids = interleave._Grids(base, v)
+    w1 = CellComplex(base.cone, [[b - k * vj for b in ax.breaks for k in (0, 1)]
+                                 for ax, vj in zip(base.axes, v)])
+    w2 = CellComplex(base.cone, [[b - k * vj for b in ax.breaks for k in (0, 1, 2)]
+                                 for ax, vj in zip(base.axes, v)])
+    assert (grids.w1, grids.w2) == (w1, w2)
+    assert hash(grids.w1) == hash(w1) and hash(grids.w2) == hash(w2)
+    assert grids.w1.axes == w1.axes and grids.w2.axes == w2.axes
+    for name, fine, coarse, k in (
+        ("t0", w1, base, 0), ("tv", w1, base, 1),
+        ("s0", w2, base, 0), ("sv", w2, base, 1), ("s2", w2, base, 2),
+        ("a1", w2, w1, 0), ("b1", w2, w1, 1),
+    ):
+        shift = tuple(k * vj for vj in v)
+        got, want = grids.lookup(name), cell_map(fine, coarse, shift)
+        tables = [axis_cell_map(f, c, sj) for f, c, sj in zip(fine.axes, coarse.axes, shift)]
+        for cell in fine.cells():
+            assert got(cell) == want(cell) == tuple(t[i] for t, i in zip(tables, cell))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conepersist.arrangement import ANTIPODAL, INTERIOR, CellComplex
 from conepersist.cone import ConeSpec
-from conepersist.exactla import Diagram, FieldMat, limit
+from conepersist.exactla import FieldMat
 from conepersist.persist import (
     ArrModule,
     direct_sum,
@@ -39,6 +39,8 @@ from conepersist.sites import (
     random_gamma_module,
     strict_restrictions_vanish,
 )
+
+from oracles import Diagram, limit
 
 
 def _line():
