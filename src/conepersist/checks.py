@@ -18,6 +18,7 @@ from .cone import ConeSpec, GaugeSpec
 from .conv1d import RaySheaf, compare_with_interleaving, line_cone
 from .interleave import (
     BudgetExceededError,
+    _candidate_parameters,
     interleaving_distance,
     isometry_check,
     zero_interleaving_criterion,
@@ -156,18 +157,13 @@ def _criterion_everywhere(F: ArrModule, v0) -> bool:
     where anything can change decides all of them."""
     if F.is_zero():
         return True
-    deltas = set()
-    for ax, vj in zip(F.complex.axes, v0):
-        bs = ax.breaks
-        for i, b in enumerate(bs):
-            for b2 in bs[i + 1 :]:
-                deltas.add((b2 - b) / abs(vj))
-                deltas.add((b2 - b) / (2 * abs(vj)))
-    if not deltas:
+    cands = _candidate_parameters(F, F, v0)
+    if len(cands) == 1:
         # at most one breakpoint per axis: no pair of breakpoints can
         # straddle a shift, so the decision is the same at every scale
         return zero_interleaving_criterion(F, v0)
-    c = min(deltas) / 2
+    # cands[0] is 0, so cands[1] is the smallest positive parameter
+    c = cands[1] / 2
     return zero_interleaving_criterion(F, tuple(c * x for x in v0))
 
 

@@ -6,9 +6,10 @@ Verbs:
   distance METRIC A B ...       compute a distance between two documents
   check SUITE ...               run a randomized cross-validation suite
 
-Exit codes: 0 success, 1 suite failure, 2 malformed document, 3 invariant
-violation, 4 domain mismatch (wrong kind, incompatible operands, bad or
-non-rational --direction or --tol), 5 search budget exceeded.
+Exit codes: 0 success, 1 suite failure, 2 malformed or unreadable
+document, 3 invariant violation, 4 domain mismatch (wrong kind,
+incompatible operands, bad or non-rational --direction or --tol), 5 search
+budget exceeded.
 """
 from __future__ import annotations
 

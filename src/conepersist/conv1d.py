@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cone import ConeSpec, GaugeSpec, PolySet, is_gamma_proper
 from .exactla import FieldMat
-from .interleave import BudgetExceededError, DistanceResult, interleaving_distance
+from .interleave import BudgetExceededError, DistanceResult, _first_true, interleaving_distance
 from .rational import parse_rational
 from .sites import GammaModule
 from .arrangement import CellComplex
@@ -236,7 +236,6 @@ def convolution_distance(
     dst: RaySheaf,
     gauge: GaugeSpec,
     budget: int = 20,
-    method: str = "auto",
 ) -> DistanceResult:
     """Least c at which the sheaves become c-isomorphic; the truth value
     can only change where a birth difference is bridged, so the candidate
@@ -257,28 +256,17 @@ def convolution_distance(
         | {abs(s - t) / speed for s in src.births for t in dst.births}
     )
 
-    memo: dict[Fraction, bool] = {}
-
     def decide(c):
-        if c not in memo:
-            memo[c] = is_c_isomorphic(src, dst, c, gauge, budget=budget, method=method)
-        return memo[c]
+        return is_c_isomorphic(src, dst, c, gauge, budget=budget)
 
-    if not decide(cands[-1]):
+    # _first_true tests each candidate at most once
+    first = _first_true(cands, decide)
+    if first is None:
         raise AssertionError("largest birth gap must already allow an isomorphism")
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if decide(cands[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    if hi > 0:
-        between = (cands[hi - 1] + cands[hi]) / 2
-        if decide(between):
-            raise AssertionError("decision changed strictly between candidates")
+    if first and decide((cands[first - 1] + cands[first]) / 2):
+        raise AssertionError("decision changed strictly between candidates")
     return DistanceResult(
-        value=cands[hi], attained=True, mode="exact", direction=direction
+        value=cands[first], attained=True, mode="exact", direction=direction
     )
 
 

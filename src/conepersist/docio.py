@@ -49,9 +49,14 @@ def _expect(obj, required, optional=()):
         raise DocumentError(f"unknown keys: {unknown}")
 
 
-def _vector(x, what="vector"):
+def _list(x, what):
     if not isinstance(x, list):
         raise DocumentError(f"{what} must be a list")
+    return x
+
+
+def _vector(x, what="vector"):
+    _list(x, what)
     try:
         return tuple(parse_rational(v) for v in x)
     except (ValueError, TypeError) as e:
@@ -167,7 +172,7 @@ def module_from_payload(payload) -> ArrModule:
     if not isinstance(n, int) or n != cx.dim:
         raise DocumentError("dimension does not match the cone and axes")
     dims = {}
-    for cell in payload["cells"]:
+    for cell in _list(payload["cells"], "cells"):
         _expect(cell, ("index", "kind", "dim"))
         idx = _cell_index(cell["index"])
         if cell["kind"] != _cell_kind(idx):
@@ -179,7 +184,7 @@ def module_from_payload(payload) -> ArrModule:
             raise DocumentError(f"duplicate cell {idx}")
         dims[idx] = d
     maps = {}
-    for m in payload["maps"]:
+    for m in _list(payload["maps"], "maps"):
         _expect(m, ("source", "target", "matrix"))
         b = _cell_index(m["source"], "source cell")
         a = _cell_index(m["target"], "target cell")
@@ -231,7 +236,7 @@ def morphism_from_payload(payload) -> ModMorphism:
     if src.p != p or dst.p != p:
         raise DocumentError("morphism field disagrees with endpoint fields")
     comps = {}
-    for c in payload["components"]:
+    for c in _list(payload["components"], "components"):
         _expect(c, ("index", "matrix"))
         idx = _cell_index(c["index"])
         if idx in comps:
@@ -302,7 +307,12 @@ def object_from_document(doc):
 
 
 def load_document(path):
-    text = Path(path).read_text()
+    """(kind, object) of the document at path; a file that cannot be read
+    as text is a malformed document too."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DocumentError(f"cannot read document: {e}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

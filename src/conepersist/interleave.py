@@ -142,41 +142,6 @@ class DistanceResult:
 # -- decision ---------------------------------------------------------------------
 
 
-class _Side:
-    """One direction of the search: unknown maps shift(A, v) -> B."""
-
-    def __init__(self, name, A: ArrModule, B: ArrModule):
-        self.name = name
-        self.A = A
-        self.B = B
-        self.unknowns: dict = {}
-        self.nat_eqs: list = []
-        self.space: SolutionSpace | None = None
-
-
-def _build_side(side: _Side, w1: CellComplex, t0, tv):
-    """Unknown component per witness-grid cell plus naturality equations."""
-    A, B = side.A, side.B
-    p = A.p
-    for c in w1.cells():
-        rows = B.dim_at(t0(c))
-        cols = A.dim_at(tv(c))
-        if rows and cols:
-            side.unknowns[(side.name, c)] = (rows, cols)
-    for a, b in w1.cover_pairs():
-        rows = B.dim_at(t0(a))
-        cols = A.dim_at(tv(b))
-        if not rows or not cols:
-            continue
-        terms = []
-        if (side.name, b) in side.unknowns:
-            terms.append((B.structure_map(t0(a), t0(b)), (side.name, b), None))
-        if (side.name, a) in side.unknowns:
-            terms.append((None, (side.name, a), -A.structure_map(tv(a), tv(b))))
-        if terms:
-            side.nat_eqs.append((terms, FieldMat.zero(p, rows, cols)))
-
-
 def _common_base(F: ArrModule, G: ArrModule):
     """F and G restricted to the common refinement of their grids."""
     if F.p != G.p:
@@ -197,62 +162,42 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
     if not base.in_antipode(v):
         raise ValueError("shift vector must lie in the antipodal cone")
     p = F0.p
-    zero_v = (Fraction(0),) * base.dim
 
-    if v == zero_v and F0 == G0:
+    if v == (Fraction(0),) * base.dim and F0 == G0:
         # the v = 0 witness grid is the base itself
         comps = {c: FieldMat.identity(p, d) for c, d in F0.dims.items()}
         return F0, G0, v, base, comps, dict(comps)
 
     grids = _Grids(base, v)
-    w1, w2 = grids.w1, grids.w2
-    t0, tv, s0, sv, s2, a1_of, b1_of = map(grids.lookup, ("t0", "tv", "s0", "sv", "s2", "a1", "b1"))
-
-    w2_cells = list(w2.cells())
-    chi_f = {t: F0.structure_map(s0(t), s2(t)) for t in w2_cells}
-    chi_g = {t: G0.structure_map(s0(t), s2(t)) for t in w2_cells}
-
-    if all(m.is_zero() for m in chi_f.values()) and all(m.is_zero() for m in chi_g.values()):
-        return F0, G0, v, w1, {}, {}
-
+    s0, sv, s2 = map(grids.lookup, ("s0", "sv", "s2"))
     # sound pruning: a witness makes the F comparison factor through G at
-    # the v-translate (and symmetrically), bounding its rank
-    for t in w2_cells:
-        if F0.structure_rank(s0(t), s2(t)) > G0.dim_at(sv(t)):
+    # the v-translate (and symmetrically), bounding its rank; when every
+    # comparison is zero, the zero maps interleave
+    all_zero = True
+    for t in grids.w2.cells():
+        lo, mid, hi = s0(t), sv(t), s2(t)
+        rank_f, rank_g = F0.structure_rank(lo, hi), G0.structure_rank(lo, hi)
+        if rank_f > G0.dim_at(mid) or rank_g > F0.dim_at(mid):
             return None
-        if G0.structure_rank(s0(t), s2(t)) > F0.dim_at(sv(t)):
-            return None
+        all_zero = all_zero and not rank_f and not rank_g
+    if all_zero:
+        return F0, G0, v, grids.w1, {}, {}
 
-    f_side = _Side("f", F0, G0)
-    g_side = _Side("g", G0, F0)
-    _build_side(f_side, w1, t0, tv)
-    _build_side(g_side, w1, t0, tv)
-    f_side.space = affine_solution_space(p, f_side.unknowns, f_side.nat_eqs)
-    g_side.space = affine_solution_space(p, g_side.unknowns, g_side.nat_eqs)
-    if not f_side.space.feasible or not g_side.space.feasible:
-        raise AssertionError("homogeneous naturality system lost the zero solution")
-
-    swap = g_side.space.dim < f_side.space.dim
-    enum_side, solve_side = (g_side, f_side) if swap else (f_side, g_side)
-    chi_enum, chi_solve = (chi_g, chi_f) if swap else (chi_f, chi_g)
-
-    # cheap sufficient probes: fix a random natural family on one side and
-    # solve the whole remaining system, which is linear; any hit is a
-    # complete witness, misses fall through to the exhaustive sweep
-    probe = _linear_probes(p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of, b1_of)
-    if probe is None:
+    # cheap sufficient probes: fix a natural family on one side and solve
+    # the whole remaining system, which is linear; any hit is a complete
+    # witness, misses fall through to the exhaustive sweep
+    search = _Search(F0, G0, grids)
+    small, large = sorted((search.f, search.g), key=lambda side: side.space.dim)
+    hit = search.first_hit(_probes(small, large, p))
+    if hit is None:
         if _rank_pair_refutes(F0, G0, grids):
             return None
-        if enum_side.space.dim > budget:
-            raise BudgetExceededError(enum_side.space.dim, budget)
-        probe = _enumerate(
-            p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of, b1_of
-        )
-    if probe is None:
-        return None
-    e_comps, s_comps = probe
-    f_comps, g_comps = (s_comps, e_comps) if swap else (e_comps, s_comps)
-    return F0, G0, v, w1, f_comps, g_comps
+        if small.space.dim > budget:
+            raise BudgetExceededError(small.space.dim, budget)
+        hit = search.first_hit(_enumerate(small, p))
+        if hit is None:
+            return None
+    return F0, G0, v, grids.w1, hit["f"], hit["g"]
 
 
 # A breakpoint x of a decision grid is tagged with the translates of the
@@ -333,119 +278,133 @@ def _rank_pair_refutes(F0: ArrModule, G0: ArrModule, grids: _Grids) -> bool:
     return False
 
 
-def _linear_probes(
-    p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of, b1_of, rounds=6
-):
-    """Fix one side at a random natural family and solve the other side's
-    full system (naturality plus both composite constraints), which is
-    linear.  Tries the zero family first, then seeded random families on
-    alternating sides."""
-    attempts = [(enum_side, solve_side, chi_enum, chi_solve, None)]
+class _Side:
+    """One direction of the search: unknown maps shift(A, v) -> B, one
+    component per witness-grid cell, and the space of natural families."""
+
+    def __init__(self, name: str, A: ArrModule, B: ArrModule, w1: CellComplex, t0, tv):
+        self.name, self.A, self.B, self.t0, self.tv = name, A, B, t0, tv
+        # unknowns and components are keyed by their w1 cell
+        self.unknowns = {}
+        for c in w1.cells():
+            rows, cols = B.dim_at(t0(c)), A.dim_at(tv(c))
+            if rows and cols:
+                self.unknowns[c] = (rows, cols)
+        self.nat_eqs = []
+        for a, b in w1.cover_pairs():
+            rows, cols = B.dim_at(t0(a)), A.dim_at(tv(b))
+            if not rows or not cols:
+                continue
+            terms = []
+            if b in self.unknowns:
+                terms.append((B.structure_map(t0(a), t0(b)), b, None))
+            if a in self.unknowns:
+                terms.append((None, a, -A.structure_map(tv(a), tv(b))))
+            if terms:
+                self.nat_eqs.append((terms, FieldMat.zero(A.p, rows, cols)))
+        self.space: SolutionSpace = affine_solution_space(A.p, self.unknowns, self.nat_eqs)
+        if not self.space.feasible:
+            raise AssertionError("homogeneous naturality system lost the zero solution")
+
+    def at(self, comps: dict, cell) -> FieldMat:
+        """The component at a w1 cell, or the zero map of its shape."""
+        m = comps.get(cell)
+        if m is None:
+            m = FieldMat.zero(self.A.p, self.B.dim_at(self.t0(cell)), self.A.dim_at(self.tv(cell)))
+        return m
+
+
+class _Search:
+    """Both sides of one decision and the composite equations that tie
+    them: on each cell t of w2, g(a1 t) f(b1 t) = F0(s0 t <= s2 t) and
+    f(a1 t) g(b1 t) = G0(s0 t <= s2 t).  Fixing one side makes the other
+    side's system linear."""
+
+    def __init__(self, F0: ArrModule, G0: ArrModule, grids: _Grids):
+        t0, tv, s0, s2, a1, b1 = map(grids.lookup, ("t0", "tv", "s0", "s2", "a1", "b1"))
+        self.p = F0.p
+        self.f = _Side("f", F0, G0, grids.w1, t0, tv)
+        self.g = _Side("g", G0, F0, grids.w1, t0, tv)
+
+        def target(A: ArrModule, t):
+            lo, hi = s0(t), s2(t)
+            return A.structure_map(lo, hi) if A.dim_at(lo) and A.dim_at(hi) else None
+
+        # (a1 t, b1 t, F0 target, G0 target) per cell with a non-empty
+        # target; a zero target still constrains the solution
+        self.targets = []
+        for t in grids.w2.cells():
+            tf, tg = target(F0, t), target(G0, t)
+            if tf is not None or tg is not None:
+                self.targets.append((a1(t), b1(t), tf, tg))
+
+    def other(self, side: _Side) -> _Side:
+        return self.g if side is self.f else self.f
+
+    def first_hit(self, attempts):
+        """The first (side, coeffs) of attempts whose natural family on
+        that side extends to an interleaving, as components by side name."""
+        for fixed, coeffs in attempts:
+            comps = fixed.space.element(coeffs)
+            solved = self.solve(fixed, comps)
+            if solved is not None:
+                return {fixed.name: comps, self.other(fixed).name: solved}
+        return None
+
+    def solve(self, fixed: _Side, comps: dict):
+        """Components of the other side that complete fixed's components
+        to an interleaving, or None when none exist.  The composite whose
+        target is fixed.A has the unknown on the left, the other one has
+        it on the right; a rank test refutes either before solving."""
+        other = self.other(fixed)
+        equations = list(other.nat_eqs)
+        for a1, b1, tf, tg in self.targets:
+            own, cross = (tf, tg) if fixed is self.f else (tg, tf)
+            for rhs, known, unknown, left in ((own, b1, a1, True), (cross, a1, b1, False)):
+                if rhs is None:
+                    continue
+                if unknown not in other.unknowns:
+                    if not rhs.is_zero():
+                        return None
+                    continue
+                emat = fixed.at(comps, known)
+                stacked = FieldMat.vstack(emat, rhs) if left else FieldMat.hstack(emat, rhs)
+                if stacked.rank() != emat.rank():
+                    return None
+                term = (None, unknown, emat) if left else (emat, unknown, None)
+                equations.append(([term], rhs))
+        space = affine_solution_space(self.p, other.unknowns, equations)
+        return space.particular() if space.feasible else None
+
+
+_PROBE_ROUNDS = 6
+
+
+def _probes(small: _Side, large: _Side, p: int):
+    """(side, coeffs) to try first: the zero family on the side with the
+    smaller naturality space, then seeded random families on alternating
+    sides, the larger one first."""
+    yield small, (0,) * small.space.dim
     rng = random.Random(_PRESAMPLE_SEED ^ 0x5EED5EED)
-    for k in range(rounds):
-        if k % 2 == 0:
-            attempts.append((solve_side, enum_side, chi_solve, chi_enum, rng))
-        else:
-            attempts.append((enum_side, solve_side, chi_enum, chi_solve, rng))
-    for fixed, other, chi_fixed, chi_other, r in attempts:
-        if r is None:
-            coeffs = (0,) * fixed.space.dim
-        else:
-            coeffs = tuple(r.randrange(p) for _ in range(fixed.space.dim))
-        fixed_named = fixed.space.element(coeffs)
-        fixed_comps = {cell: m for (_, cell), m in fixed_named.items()}
-        sol = _solve_other(
-            p, fixed, other, chi_fixed, chi_other, w2_cells, a1_of, b1_of, fixed_comps
-        )
-        if sol is not None:
-            if fixed is enum_side:
-                return fixed_comps, sol
-            return sol, fixed_comps
-    return None
+    for k in range(_PROBE_ROUNDS):
+        side = large if k % 2 == 0 else small
+        yield side, tuple(rng.randrange(p) for _ in range(side.space.dim))
 
 
-def _enumerate(p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of, b1_of):
-    """Sweep the naturality space of one side; solve the other side's
-    naturality-plus-composite system for each candidate."""
-    space = enum_side.space
+def _enumerate(side: _Side, p: int):
+    """(side, coeffs) for every natural family on side: a seeded random
+    presample, then the rest in odometer order."""
+    dim = side.space.dim
     rng = random.Random(_PRESAMPLE_SEED)
     seen = set()
-    samples = []
-    if space.dim:
-        want = min(_PRESAMPLE, p**space.dim)
-        while len(samples) < want:
-            c = tuple(rng.randrange(p) for _ in range(space.dim))
-            if c not in seen:
-                seen.add(c)
-                samples.append(c)
-
-    def candidates():
-        yield from samples
-        for c in itertools.product(range(p), repeat=space.dim):
-            if c not in seen:
-                yield c
-
-    for coeffs in candidates():
-        e_comps_named = space.element(coeffs)
-        e_comps = {cell: m for (_, cell), m in e_comps_named.items()}
-        sol = _solve_other(p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of, b1_of, e_comps)
-        if sol is not None:
-            return e_comps, sol
-    return None
-
-
-def _solve_other(p, enum_side, solve_side, chi_enum, chi_solve, w2_cells, a1_of, b1_of, e_comps):
-    """Given the enumerated side's components, decide feasibility of the
-    other side and return its components."""
-    name = solve_side.name
-    unknowns = solve_side.unknowns
-
-    def e_at(w1_cell):
-        m = e_comps.get(w1_cell)
-        if m is not None:
-            return m
-        r, c = enum_side.unknowns.get((enum_side.name, w1_cell), (0, 0))
-        return FieldMat.zero(p, r, c)
-
-    # necessary rank conditions per composite equation, cheap to test
-    equations = list(solve_side.nat_eqs)
-    for t in w2_cells:
-        a1, b1 = a1_of(t), b1_of(t)
-        # enumerated side's composite: solve_comp(a1) @ e(b1) = chi_enum[t]
-        rhs = chi_enum[t]
-        if rhs.nrows and rhs.ncols:
-            emat = e_at(b1)
-            if (name, a1) in unknowns:
-                if emat.ncols:
-                    stacked = FieldMat.vstack(emat, rhs)
-                    if stacked.rank() != emat.rank():
-                        return None
-                elif not rhs.is_zero():
-                    return None
-                equations.append(([(None, (name, a1), emat)], rhs))
-            else:
-                if not rhs.is_zero():
-                    return None
-        # other composite: e(a1) @ solve_comp(b1) = chi_solve[t]
-        rhs2 = chi_solve[t]
-        if rhs2.nrows and rhs2.ncols:
-            emat = e_at(a1)
-            if (name, b1) in unknowns:
-                if emat.nrows:
-                    joined = FieldMat.hstack(emat, rhs2)
-                    if joined.rank() != emat.rank():
-                        return None
-                elif not rhs2.is_zero():
-                    return None
-                equations.append(([(emat, (name, b1), None)], rhs2))
-            else:
-                if not rhs2.is_zero():
-                    return None
-    space = affine_solution_space(p, unknowns, equations)
-    if not space.feasible:
-        return None
-    named = space.particular()
-    return {cell: m for (_, cell), m in named.items()}
+    while len(seen) < min(_PRESAMPLE, p**dim):
+        c = tuple(rng.randrange(p) for _ in range(dim))
+        if c not in seen:
+            seen.add(c)
+            yield side, c
+    for c in itertools.product(range(p), repeat=dim):
+        if c not in seen:
+            yield side, c
 
 
 def _certified(found) -> InterleavingWitness:
@@ -496,25 +455,48 @@ def _direction_checked(complex_: CellComplex, v0) -> Vec:
     return v0
 
 
+def _axis_breaks(F: ArrModule, G: ArrModule, v0: Vec):
+    """Per axis: the sorted union of both modules' breakpoints, and the
+    speed |v0_j| at which a shift in direction v0 moves along it."""
+    return [
+        (sorted(set(a.breaks) | set(b.breaks)), abs(vj))
+        for a, b, vj in zip(F.complex.axes, G.complex.axes, v0)
+    ]
+
+
 def _candidate_parameters(F: ArrModule, G: ArrModule, v0: Vec) -> list[Fraction]:
+    """Zero and every parameter at which the shift or the doubled shift
+    bridges two breakpoints of one axis, in increasing order."""
     cands = {Fraction(0)}
-    for j, vj in enumerate(v0):
-        breaks = sorted(set(F.complex.axes[j].breaks) | set(G.complex.axes[j].breaks))
+    for breaks, speed in _axis_breaks(F, G, v0):
         for i, b in enumerate(breaks):
             for b2 in breaks[i + 1 :]:
-                delta = b2 - b
-                cands.add(delta / abs(vj))
-                cands.add(delta / (2 * abs(vj)))
+                cands.add((b2 - b) / speed)
+                cands.add((b2 - b) / (2 * speed))
     return sorted(cands)
 
 
 def _diameter_bound(F: ArrModule, G: ArrModule, v0: Vec) -> Fraction:
-    worst = Fraction(0)
-    for j, vj in enumerate(v0):
-        breaks = sorted(set(F.complex.axes[j].breaks) | set(G.complex.axes[j].breaks))
-        if len(breaks) >= 2:
-            worst = max(worst, (breaks[-1] - breaks[0]) / abs(vj))
-    return worst
+    return max(
+        ((bs[-1] - bs[0]) / speed for bs, speed in _axis_breaks(F, G, v0) if bs),
+        default=Fraction(0),
+    )
+
+
+def _first_true(cands: list, holds):
+    """Index of the first candidate at which the monotone predicate holds,
+    or None when it fails at the last one.  Tests the last candidate, then
+    bisects."""
+    if not holds(cands[-1]):
+        return None
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def interleaving_distance(
@@ -558,102 +540,39 @@ def interleaving_distance(
                 ) from None
         return memo[c]
 
+    def result(value, attained, param, bracket=None) -> DistanceResult:
+        """The result whose certified witness sits at param."""
+        witness = _certified(decide(param))
+        return DistanceResult(value, attained, mode, v0, bracket, witness, witness_parameter=param)
+
+    infinite = DistanceResult(float("inf"), None, mode, v0)
     if mode == "bracketed":
-        return _distance_bracketed(F, G, v0, decide, tol)
+        lo = Fraction(0)
+        if decide(lo) is not None:
+            return result(lo, True, lo, (lo, lo))
+        hi = max(_diameter_bound(F, G, v0), Fraction(1)) + 1
+        if decide(hi) is None:
+            return infinite
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if decide(mid) is not None:
+                hi = mid
+            else:
+                lo = mid
+        return result(hi, None, hi, (lo, hi))
 
     cands = _candidate_parameters(F, G, v0)
-    n = len(cands)
-
-    # find the first parameter with a witness, if any, via binary search
-    if decide(cands[-1]) is None:
+    first = _first_true(cands, lambda c: decide(c) is not None)
+    if first is None:
         tail = max(cands[-1], _diameter_bound(F, G, v0)) + 1
-        w = decide(tail)
-        if w is None:
-            return DistanceResult(
-                value=float("inf"), attained=None, mode="exact", direction=v0
-            )
-        return DistanceResult(
-            value=cands[-1],
-            attained=False,
-            mode="exact",
-            direction=v0,
-            witness=_certified(w),
-            witness_parameter=tail,
-        )
-    lo, hi = 0, n - 1  # decision at cands[hi] is a witness
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if decide(cands[mid]) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    first = hi
-    if first == 0:
-        w = decide(cands[0])
-        return DistanceResult(
-            value=cands[0],
-            attained=True,
-            mode="exact",
-            direction=v0,
-            witness=_certified(w),
-            witness_parameter=cands[0],
-        )
-    # the decision is constant strictly between consecutive candidates, so
-    # one interior sample settles whether the threshold is attained
-    mid_param = (cands[first - 1] + cands[first]) / 2
-    w_mid = decide(mid_param)
-    if w_mid is not None:
-        return DistanceResult(
-            value=cands[first - 1],
-            attained=False,
-            mode="exact",
-            direction=v0,
-            witness=_certified(w_mid),
-            witness_parameter=mid_param,
-        )
-    w = decide(cands[first])
-    return DistanceResult(
-        value=cands[first],
-        attained=True,
-        mode="exact",
-        direction=v0,
-        witness=_certified(w),
-        witness_parameter=cands[first],
-    )
-
-
-def _distance_bracketed(F, G, v0, decide, tol):
-    if decide(Fraction(0)) is not None:
-        return DistanceResult(
-            value=Fraction(0),
-            attained=True,
-            mode="bracketed",
-            direction=v0,
-            bracket=(Fraction(0), Fraction(0)),
-            witness=_certified(decide(Fraction(0))),
-            witness_parameter=Fraction(0),
-        )
-    hi = max(_diameter_bound(F, G, v0), Fraction(1)) + 1
-    if decide(hi) is None:
-        return DistanceResult(
-            value=float("inf"), attained=None, mode="bracketed", direction=v0
-        )
-    lo = Fraction(0)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
+        return infinite if decide(tail) is None else result(cands[-1], False, tail)
+    if first:
+        # the decision is constant strictly between consecutive candidates,
+        # so one interior sample settles whether the threshold is attained
+        mid = (cands[first - 1] + cands[first]) / 2
         if decide(mid) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return DistanceResult(
-        value=hi,
-        attained=None,
-        mode="bracketed",
-        direction=v0,
-        bracket=(lo, hi),
-        witness=_certified(decide(hi)),
-        witness_parameter=hi,
-    )
+            return result(cands[first - 1], False, mid)
+    return result(cands[first], True, cands[first])
 
 
 # -- derived checks ---------------------------------------------------------------

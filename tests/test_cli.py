@@ -71,6 +71,24 @@ def test_validate_malformed_file_exits_2(tmp_path, capsys):
     assert lines[0]["ok"] is False and lines[0]["error"] == "document"
 
 
+def test_validate_unreadable_path_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, lines = _run(capsys, "validate", str(path))
+        assert code == 2
+        assert lines[0]["ok"] is False and lines[0]["error"] == "document"
+
+
+def test_validate_non_list_cells_exits_2(tmp_path, capsys):
+    path = tmp_path / "cells.json"
+    save_document(str(path), principal_module(_line_cx(), 2, (0,)))
+    doc = json.loads(path.read_text())
+    doc["payload"]["cells"] = 5
+    path.write_text(json.dumps(doc))
+    code, lines = _run(capsys, "validate", str(path))
+    assert code == 2
+    assert lines[0]["ok"] is False and lines[0]["error"] == "document"
+
+
 def test_validate_wrong_format_exits_2(tmp_path, capsys):
     path = tmp_path / "fmt.json"
     path.write_text(json.dumps({"format": "other/9", "kind": "cone", "payload": {}}))

@@ -190,6 +190,34 @@ def test_rejects_duplicate_cells_and_maps():
             object_from_document(dupm)
 
 
+def test_rejects_non_list_cells_maps_and_components():
+    doc = _module_doc()
+    for key in ("cells", "maps"):
+        for value in (5, None, {"index": [0]}):
+            bad = copy.deepcopy(doc)
+            bad["payload"][key] = value
+            with pytest.raises(DocumentError):
+                object_from_document(bad)
+    F = random_module(_line_cx((0,)), 2, 5)
+    mor = document_for(random_morphism(F, F, seed=1))
+    for value in (5, None):
+        bad = copy.deepcopy(mor)
+        bad["payload"]["components"] = value
+        with pytest.raises(DocumentError):
+            object_from_document(bad)
+
+
+def test_unreadable_paths_are_document_errors(tmp_path):
+    with pytest.raises(DocumentError):
+        load_document(tmp_path / "missing.json")
+    with pytest.raises(DocumentError):
+        load_document(tmp_path)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(DocumentError):
+        load_document(binary)
+
+
 def test_rejects_kind_mismatch_and_bad_dims():
     doc = _module_doc()
     kinded = copy.deepcopy(doc)
