@@ -8,8 +8,8 @@ Verbs:
 
 Exit codes: 0 success, 1 suite failure, 2 malformed or unreadable
 document, 3 invariant violation, 4 domain mismatch (wrong kind,
-incompatible operands, bad or non-rational --direction or --tol), 5 search
-budget exceeded.
+incompatible operands, bad or non-rational --direction or --tol), 5
+interleaving search budget exceeded.
 """
 from __future__ import annotations
 
@@ -171,7 +171,7 @@ def _cmd_distance(args) -> int:
         gauge = GaugeSpec(line_cone(), direction)
         if args.mode != "exact":
             raise UsageError("convolution distance is always exact")
-        res = convolution_distance(src, dst, gauge, budget=args.budget)
+        res = convolution_distance(src, dst, gauge)
     out = _distance_json(res, args.metric)
     if args.witness and res.witness is not None:
         save_document(args.witness, res.witness)
@@ -225,7 +225,7 @@ def _parser() -> argparse.ArgumentParser:
     d.add_argument("--direction", required=True, help="comma separated rationals, e.g. 1,1/2")
     d.add_argument("--mode", choices=["exact", "bracketed"], default="exact")
     d.add_argument("--tol", default=None, help="bracket width for bracketed mode")
-    d.add_argument("--budget", type=int, default=20, help="witness search budget")
+    d.add_argument("--budget", type=int, default=20, help="interleaving witness search budget")
     d.add_argument("--witness", default=None, help="write the optimal witness here")
     d.set_defaults(fn=_cmd_distance)
 

@@ -6,19 +6,20 @@ radius r translates every birth down by r times the gauge direction, and
 maps between two such sheaves are constrained entrywise: a ray born at s
 maps nontrivially to one born at t only when s <= t.  A c-shifted
 isomorphism pair therefore amounts to an invertible matrix respecting the
-c-relaxed pattern whose inverse respects the mirrored pattern, and the
-optimal c is a bottleneck matching between the sorted birth sequences.
+c-relaxed pattern whose inverse respects the mirrored pattern.  With
+births sorted each pattern is a staircase, which has a perfect matching
+exactly when it contains the diagonal, so the decision is the sorted
+pairing (see is_c_isomorphic) and the optimal c is its bottleneck cost.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import ConeSpec, GaugeSpec, PolySet, is_gamma_proper
 from .exactla import FieldMat
-from .interleave import BudgetExceededError, DistanceResult, _first_true, interleaving_distance
+from .interleave import DistanceResult, interleaving_distance
 from .rational import parse_rational
 from .sites import GammaModule
 from .arrangement import CellComplex
@@ -116,131 +117,74 @@ class HomPattern:
     to the ray born at dst[j]."""
 
     allowed: tuple[tuple[bool, ...], ...]
-    src_births: tuple[Fraction, ...]
-    dst_births: tuple[Fraction, ...]
-    c: Fraction
 
     @staticmethod
     def build(src: RaySheaf, dst: RaySheaf, c, gauge: GaugeSpec) -> "HomPattern":
-        c = parse_rational(c)
-        speed = _gauge_speed(gauge)
-        rows = tuple(
-            tuple(s - c * speed <= t for s in src.births) for t in dst.births
-        )
-        return HomPattern(rows, src.births, dst.births, c)
-
-    def entry_count(self) -> int:
-        return sum(sum(1 for a in row if a) for row in self.allowed)
-
-    def admits(self, m: FieldMat) -> bool:
-        return all(
-            m.entries[j][i] == 0
-            for j in range(len(self.allowed))
-            for i in range(len(self.allowed[j]))
-            if not self.allowed[j][i]
-        )
+        slack = parse_rational(c) * _gauge_speed(gauge)
+        relaxed = [s - slack for s in src.births]
+        return HomPattern(tuple(tuple(s <= t for s in relaxed) for t in dst.births))
 
     def has_perfect_matching(self) -> bool:
-        """Hall condition via augmenting paths; an invertible matrix on
-        this pattern needs a nonzero diagonal in some column permutation."""
+        """Hall condition via augmenting paths, each found breadth first;
+        an invertible matrix on this pattern needs a nonzero diagonal in
+        some column permutation."""
         n = len(self.allowed)
-        match = [-1] * n  # column -> row
-
-        def augment(row, seen):
-            for col in range(n):
-                if self.allowed[row][col] and col not in seen:
-                    seen.add(col)
-                    if match[col] < 0 or augment(match[col], seen):
-                        match[col] = row
-                        return True
-            return False
-
-        return all(augment(r, set()) for r in range(n))
-
-
-def _sorted_matching_ok(src: RaySheaf, dst: RaySheaf, c, speed: Fraction) -> bool:
-    if src.count != dst.count:
-        return False
-    bound = c * speed
-    return all(abs(s - t) <= bound for s, t in zip(src.births, dst.births))
-
-
-def _search_ok(src: RaySheaf, dst: RaySheaf, c, gauge, budget) -> bool:
-    m = src.count
-    fwd = HomPattern.build(src, dst, c, gauge)
-    bwd = HomPattern.build(dst, src, c, gauge)
-    if not fwd.has_perfect_matching() or not bwd.has_perfect_matching():
-        return False
-    # try permutation witnesses first: invertible, self-describing inverse
-    for perm in itertools.permutations(range(m)):
-        if all(fwd.allowed[j][perm[j]] for j in range(m)) and all(
-            bwd.allowed[perm[j]][j] for j in range(m)
-        ):
-            return True
-    # full sweep over matrices supported on the forward pattern
-    positions = [
-        (j, i) for j in range(m) for i in range(m) if fwd.allowed[j][i]
-    ]
-    if len(positions) > budget:
-        raise BudgetExceededError(len(positions), budget)
-    p = src.p
-    for values in itertools.product(range(p), repeat=len(positions)):
-        ent = [[0] * m for _ in range(m)]
-        for (j, i), val in zip(positions, values):
-            ent[j][i] = val
-        mat = FieldMat.make(p, ent)
-        inv = mat.inverse()
-        if inv is not None and bwd.admits(inv):
-            return True
-    return False
+        row_of = [-1] * n  # column -> matched row
+        col_of = [-1] * n  # row -> matched column
+        for root in range(n):
+            reached = {}  # column -> row it was reached from
+            frontier, free = [root], -1
+            while frontier and free < 0:
+                nxt = []
+                for row in frontier:
+                    for col, ok in enumerate(self.allowed[row]):
+                        if ok and col not in reached:
+                            reached[col] = row
+                            if row_of[col] < 0:
+                                free = col
+                                break
+                            nxt.append(row_of[col])
+                    if free >= 0:
+                        break
+                frontier = nxt
+            if free < 0:
+                return False
+            col = free
+            while col >= 0:
+                row = reached[col]
+                row_of[col], col_of[row], col = row, col, col_of[row]
+        return True
 
 
-def is_c_isomorphic(
-    src: RaySheaf,
-    dst: RaySheaf,
-    c,
-    gauge: GaugeSpec,
-    budget: int = 20,
-    method: str = "auto",
-) -> bool:
-    """Whether the two sheaves are isomorphic after relaxing by c.
+def is_c_isomorphic(src: RaySheaf, dst: RaySheaf, c, gauge: GaugeSpec) -> bool:
+    """Whether the two sheaves are isomorphic after relaxing by c: whether
+    every sorted pair of births is within c times the gauge speed.
 
-    method 'search' enumerates pattern-supported matrices and their
-    inverses; 'matching' uses the sorted-birth bottleneck criterion;
-    'auto' searches when the pattern is small enough and falls back to
-    matching."""
+    This is the same as both the c-relaxed pattern from src to dst and
+    the mirrored one from dst to src having a perfect matching.
+    Necessary: an invertible matrix has a nonzero term in its determinant
+    expansion, a perfect matching inside its support, and so does its
+    inverse.  Sufficient: with births sorted, row j of the forward pattern
+    allows the columns whose birth is at most dst[j] + c*speed, a prefix
+    that grows with j.  Such a staircase has a perfect matching exactly
+    when it contains the diagonal, so both checks passing puts every
+    sorted pair within c*speed.  The identity matrix in sorted coordinates
+    is then a c-isomorphism, and its inverse respects the mirror."""
     c = parse_rational(c)
     if c < 0:
         raise ValueError("relaxation must be nonnegative")
     if src.p != dst.p:
         raise ValueError("field mismatch")
-    if src.count != dst.count:
-        return False
-    if src.count == 0:
-        return True
-    speed = _gauge_speed(gauge)
-    if method == "matching":
-        return _sorted_matching_ok(src, dst, c, speed)
-    if method == "search":
-        return _search_ok(src, dst, c, gauge, budget)
-    if method != "auto":
-        raise ValueError("method must be 'auto', 'search' or 'matching'")
-    fwd = HomPattern.build(src, dst, c, gauge)
-    if fwd.entry_count() <= budget:
-        return _search_ok(src, dst, c, gauge, budget)
-    return _sorted_matching_ok(src, dst, c, speed)
+    slack = c * _gauge_speed(gauge)
+    return src.count == dst.count and all(
+        abs(s - t) <= slack for s, t in zip(src.births, dst.births)
+    )
 
 
-def convolution_distance(
-    src: RaySheaf,
-    dst: RaySheaf,
-    gauge: GaugeSpec,
-    budget: int = 20,
-) -> DistanceResult:
-    """Least c at which the sheaves become c-isomorphic; the truth value
-    can only change where a birth difference is bridged, so the candidate
-    walk is exact and the optimum is always attained (or infinite on a
-    count mismatch)."""
+def convolution_distance(src: RaySheaf, dst: RaySheaf, gauge: GaugeSpec) -> DistanceResult:
+    """Least c at which the sheaves become c-isomorphic: the largest
+    sorted-pair gap over the gauge speed, always attained (or infinite on
+    a count mismatch)."""
     speed = _gauge_speed(gauge)
     direction = (gauge.v[0],)
     if src.count != dst.count:
@@ -251,23 +195,10 @@ def convolution_distance(
         return DistanceResult(
             value=Fraction(0), attained=True, mode="exact", direction=direction
         )
-    cands = sorted(
-        {Fraction(0)}
-        | {abs(s - t) / speed for s in src.births for t in dst.births}
-    )
-
-    def decide(c):
-        return is_c_isomorphic(src, dst, c, gauge, budget=budget)
-
-    # _first_true tests each candidate at most once
-    first = _first_true(cands, decide)
-    if first is None:
-        raise AssertionError("largest birth gap must already allow an isomorphism")
-    if first and decide((cands[first - 1] + cands[first]) / 2):
-        raise AssertionError("decision changed strictly between candidates")
-    return DistanceResult(
-        value=cands[first], attained=True, mode="exact", direction=direction
-    )
+    if src.p != dst.p:
+        raise ValueError("field mismatch")
+    gap = max(abs(s - t) for s, t in zip(src.births, dst.births))
+    return DistanceResult(value=gap / speed, attained=True, mode="exact", direction=direction)
 
 
 def to_gamma_module(rs: RaySheaf) -> GammaModule:
@@ -313,7 +244,7 @@ def compare_with_interleaving(
 ) -> ConvIntRecord:
     """Convolution distance of the sheaves against the interleaving
     distance of their stabilized modules in the gauge direction."""
-    dc = convolution_distance(src, dst, gauge, budget=budget)
+    dc = convolution_distance(src, dst, gauge)
     mf = to_gamma_module(src).module
     mg = to_gamma_module(dst).module
     di = interleaving_distance(mf, mg, (gauge.v[0],), budget=budget)

@@ -381,10 +381,10 @@ _PROBE_ROUNDS = 6
 
 
 def _probes(small: _Side, large: _Side, p: int):
-    """(side, coeffs) to try first: the zero family on the side with the
-    smaller naturality space, then seeded random families on alternating
-    sides, the larger one first."""
-    yield small, (0,) * small.space.dim
+    """(side, coeffs) to try first: seeded random families on alternating
+    sides, the larger naturality space first.  No zero family: _decide
+    has returned the zero witness unless some comparison is nonzero, and
+    a zero family makes every composite zero."""
     rng = random.Random(_PRESAMPLE_SEED ^ 0x5EED5EED)
     for k in range(_PROBE_ROUNDS):
         side = large if k % 2 == 0 else small

@@ -271,8 +271,9 @@ def point_module(complex_: CellComplex, p: int, x) -> ArrModule:
 
 
 def restrict_module(mod: ArrModule, refined: CellComplex, cell_map) -> ArrModule:
-    """Pull back along a refinement: the refined cell c carries the value
-    at the coarse cell containing it."""
+    """Pull back along a cell map: cell c of refined carries the value at
+    cell_map(c), the coarse cell containing it for a refinement (the
+    corner functors pull back along the just-inside map instead)."""
     dims = {}
     for c in refined.cells():
         d = mod.dim_at(cell_map(c))
@@ -280,9 +281,8 @@ def restrict_module(mod: ArrModule, refined: CellComplex, cell_map) -> ArrModule
             dims[c] = d
     maps = {}
     for a, b in refined.cover_pairs():
-        ca, cb = cell_map(a), cell_map(b)
         if dims.get(a) and dims.get(b):
-            maps[(a, b)] = mod.structure_map(ca, cb)
+            maps[(a, b)] = mod.structure_map(cell_map(a), cell_map(b))
     return ArrModule(refined, mod.p, dims, maps, validate=False)
 
 

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 from .arrangement import ANTIPODAL, INTERIOR, CellComplex
 from .cone import ConeSpec
-from .persist import ArrModule, ModMorphism, pointwise_image, pointwise_kernel, random_module
+from .persist import (
+    ArrModule,
+    ModMorphism,
+    pointwise_image,
+    pointwise_kernel,
+    random_module,
+    restrict_module,
+    restrict_morphism,
+)
 from .rational import Vec, as_vec
 
 __all__ = [
@@ -222,19 +230,14 @@ class GammaModule:
         return f"GammaModule({self.module!r})"
 
 
+def _look(cx: CellComplex, direction: str):
+    """Cell map sending each cell to the cell just inside it on the given
+    side; the corner functors pull back along it."""
+    return {c: cx.just_inside(c, direction) for c in cx.cells()}.__getitem__
+
+
 def _corner_pushforward(mod: ArrModule, direction: str) -> ArrModule:
-    cx = mod.complex
-    look = {c: cx.just_inside(c, direction) for c in cx.cells()}
-    dims = {}
-    for c, t in look.items():
-        d = mod.dim_at(t)
-        if d:
-            dims[c] = d
-    maps = {}
-    for a, b in cx.cover_pairs():
-        if dims.get(a) and dims.get(b):
-            maps[(a, b)] = mod.structure_map(look[a], look[b])
-    return ArrModule(cx, mod.p, dims, maps, validate=False)
+    return restrict_module(mod, mod.complex, _look(mod.complex, direction))
 
 
 def beta_star(mod: ArrModule) -> GammaModule:
@@ -257,14 +260,7 @@ def alpha_star(g: GammaModule) -> ArrModule:
 
 
 def _corner_pushforward_morphism(f: ModMorphism, direction: str) -> ModMorphism:
-    src = _corner_pushforward(f.src, direction)
-    dst = _corner_pushforward(f.dst, direction)
-    cx = f.src.complex
-    comps = {}
-    for c in cx.cells():
-        if src.dim_at(c) and dst.dim_at(c):
-            comps[c] = f.at(cx.just_inside(c, direction))
-    return ModMorphism(src, dst, comps, validate=False)
+    return restrict_morphism(f, f.src.complex, _look(f.src.complex, direction))
 
 
 def beta_star_morphism(f: ModMorphism) -> ModMorphism:

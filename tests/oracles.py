@@ -134,6 +134,29 @@ def bottleneck_matching(src_births, dst_births, speed) -> Fraction | float:
     return best / Fraction(speed)
 
 
+def raw_c_isomorphic(src_births, dst_births, c, speed, p) -> bool:
+    """Whether some matrix over F_p on the forward pattern (entry (j, i)
+    allowed when s[i] - c*speed <= t[j]) is invertible with its inverse on
+    the mirrored pattern (entry (i, j) allowed when t[j] - c*speed <=
+    s[i]): a sweep over every matrix on the forward pattern, with no
+    permutation shortcut."""
+    s, t = list(src_births), list(dst_births)
+    if len(s) != len(t):
+        return False
+    n, slack = len(s), c * speed
+    positions = [(j, i) for j in range(n) for i in range(n) if s[i] - slack <= t[j]]
+    for values in itertools.product(range(p), repeat=len(positions)):
+        ent = [[0] * n for _ in range(n)]
+        for (j, i), x in zip(positions, values):
+            ent[j][i] = x
+        inv = FieldMat.make(p, ent).inverse()
+        if inv is not None and all(
+            inv.entries[i][j] == 0 or t[j] - slack <= s[i] for i in range(n) for j in range(n)
+        ):
+            return True
+    return False
+
+
 # -- finite poset diagrams (the reference for limits and colimits) ----------
 
 

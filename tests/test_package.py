@@ -38,3 +38,14 @@ def test_traced_names_resolve():
         assert callable(fn), (owner, attr)
         if attr in read_args:
             assert read_args[attr] <= set(inspect.signature(fn).parameters), (owner, attr)
+
+
+def test_exported_names_resolve():
+    # every name the package or a submodule lists in __all__ must exist,
+    # so that `from conepersist import *` and each listed import work
+    src = Path(conepersist.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        name = "conepersist" if path.stem == "__init__" else f"conepersist.{path.stem}"
+        mod = importlib.import_module(name)
+        for attr in getattr(mod, "__all__", ()):
+            assert hasattr(mod, attr), (name, attr)

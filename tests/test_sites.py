@@ -1,4 +1,7 @@
 """Open-set calculus, corner stabilization functors, ephemeral detection."""
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from conepersist.arrangement import ANTIPODAL, INTERIOR, CellComplex
 from conepersist.cone import ConeSpec
+from conepersist.docio import document_for
 from conepersist.exactla import FieldMat
 from conepersist.persist import (
     ArrModule,
@@ -25,8 +29,10 @@ from conepersist.sites import (
     OpenPiece,
     OpenSet,
     alpha_star,
+    alpha_star_morphism,
     alpha_t,
     beta_inv,
+    beta_inv_morphism,
     beta_star,
     beta_star_morphism,
     beta_t,
@@ -312,3 +318,36 @@ def test_exactness_probe_on_random_morphisms():
         rep = exactness_probe(f)
         assert rep.ok, rep.failures
         assert rep.dims["kernel"] + rep.dims["image"] == rep.dims["middle"]
+
+
+# sha256 of every corner functor's documents on seeded modules and
+# morphisms: a change to how the functors pull back must keep it
+_STABILIZED_DIGEST = "c17ea64dba40f2c0bb0cd01f3c69285ca210cd74cdc5d42ff79bca7ea545b8c8"
+
+
+def _stabilized_documents(i):
+    """Documents of every corner functor applied to a seeded module pair
+    and two morphisms between them: p alternates 2, 3; pairs 2 and 3 of
+    every four are 2-D."""
+    rng = random.Random(f"stabilized:{i}")
+    p = (2, 3)[i % 2]
+    pool = [Fraction(n, 2) for n in range(-3, 4)]
+    if i % 4 >= 2:
+        cx = _quad_cx(sorted(rng.sample(pool, 1)), sorted(rng.sample(pool, 2)))
+    else:
+        cx = _line_cx(sorted(rng.sample(pool, 3)))
+    F = random_module(cx, p, rng.randrange(10**6), max_dim=2)
+    G = random_module(cx, p, rng.randrange(10**6), max_dim=2)
+    docs = []
+    for mod in (F, G):
+        g = GammaModule(mod, validate=False)
+        docs += [beta_star(mod), beta_inv(g), alpha_star(g)]
+    for f in (random_morphism(F, F, rng.randrange(10**6)), random_morphism(F, G, rng.randrange(10**6))):
+        docs += [beta_star_morphism(f), beta_inv_morphism(f), alpha_star_morphism(f)]
+    return [document_for(d) for d in docs]
+
+
+def test_pinned_stabilizations():
+    records = [_stabilized_documents(i) for i in range(24)]
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _STABILIZED_DIGEST
