@@ -50,7 +50,9 @@ __all__ = [
 ]
 
 
+@functools.cache
 def quadrant_cone() -> ConeSpec:
+    """The nonpositive quadrant, built once and shared."""
     return ConeSpec(normals=[(-1, 0), (0, -1)], generators=[(-1, 0), (0, -1)])
 
 
@@ -241,7 +243,10 @@ def gauge_case(seed: int) -> dict:
 # -- suite: convolution distance vs interleaving distance --------------------------
 
 
-def conv_vs_int_case(seed: int, field: int = 2, max_count: int = 5) -> dict:
+_CONV_MAX_COUNT = 5
+
+
+def conv_vs_int_case(seed: int, field: int = 2) -> dict:
     """Convolution distance of ray sheaves matches the interleaving
     distance of their stabilized modules across several gauges.
 
@@ -255,8 +260,8 @@ def conv_vs_int_case(seed: int, field: int = 2, max_count: int = 5) -> dict:
     pool = [Fraction(k, 2) for k in range(-6, 10)]
     speeds = [Fraction(1), Fraction(1, 2), Fraction(3)]
     for attempt in range(12):
-        m = rng.randint(0, max_count)
-        n = m if rng.random() < 0.85 else rng.randint(0, max_count)
+        m = rng.randint(0, _CONV_MAX_COUNT)
+        n = m if rng.random() < 0.85 else rng.randint(0, _CONV_MAX_COUNT)
         src = RaySheaf.make(rng.sample(pool, m), field)
         dst = RaySheaf.make(rng.sample(pool, n), field)
         results = []

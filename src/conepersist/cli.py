@@ -22,9 +22,9 @@ from .conv1d import RaySheaf, convolution_distance, line_cone
 from .cone import GaugeSpec
 from .checks import SUITES, run_suite
 from .docio import DocumentError, load_document, save_document
-from .interleave import BudgetExceededError, interleaving_distance
+from .interleave import DEFAULT_BUDGET, BudgetExceededError, interleaving_distance
 from .persist import ArrModule
-from .rational import format_rational, parse_rational
+from .rational import format_rational, format_vector, parse_rational
 from .sites import GammaModule, alpha_star, beta_inv, beta_star
 
 __all__ = ["main"]
@@ -45,10 +45,6 @@ def _num(x):
     if x is None:
         return None
     return format_rational(x)
-
-
-def _vec(v):
-    return [format_rational(x) for x in v]
 
 
 # -- validate ----------------------------------------------------------------------
@@ -130,7 +126,7 @@ def _distance_json(res, metric):
         "value": _num(res.value),
         "attained": res.attained,
         "mode": res.mode,
-        "direction": _vec(res.direction),
+        "direction": format_vector(res.direction),
     }
     if res.bracket is not None:
         out["bracket"] = [_num(res.bracket[0]), _num(res.bracket[1])]
@@ -225,7 +221,7 @@ def _parser() -> argparse.ArgumentParser:
     d.add_argument("--direction", required=True, help="comma separated rationals, e.g. 1,1/2")
     d.add_argument("--mode", choices=["exact", "bracketed"], default="exact")
     d.add_argument("--tol", default=None, help="bracket width for bracketed mode")
-    d.add_argument("--budget", type=int, default=20, help="interleaving witness search budget")
+    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="interleaving witness search budget")
     d.add_argument("--witness", default=None, help="write the optimal witness here")
     d.set_defaults(fn=_cmd_distance)
 

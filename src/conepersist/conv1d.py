@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cone import ConeSpec, GaugeSpec, PolySet, is_gamma_proper
 from .exactla import FieldMat
-from .interleave import DistanceResult, interleaving_distance
+from .interleave import DEFAULT_BUDGET, DistanceResult, interleaving_distance
 from .rational import parse_rational
 from .sites import GammaModule
 from .arrangement import CellComplex
@@ -40,16 +40,11 @@ __all__ = [
 ]
 
 
-def line_cone() -> ConeSpec:
-    """The nonpositive halfline, the working cone for one axis."""
-    return ConeSpec(normals=[(-1,)], generators=[(-1,)])
-
-
 @functools.cache
-def _line() -> ConeSpec:
-    """One shared line cone for this module's own use, built on first call;
-    line_cone() keeps handing callers a fresh object."""
-    return line_cone()
+def line_cone() -> ConeSpec:
+    """The nonpositive halfline, the working cone for one axis, built once
+    and shared (nothing mutates a ConeSpec)."""
+    return ConeSpec(normals=[(-1,)], generators=[(-1,)])
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class RaySheaf:
 def _gauge_speed(gauge: GaugeSpec) -> Fraction:
     if gauge.cone.dim != 1:
         raise ValueError("one-axis calculus needs a one-dimensional gauge")
-    if gauge.cone != _line():
+    if gauge.cone != line_cone():
         raise ValueError("gauge must live over the nonpositive halfline cone")
     return abs(gauge.v[0])
 
@@ -184,7 +179,9 @@ def is_c_isomorphic(src: RaySheaf, dst: RaySheaf, c, gauge: GaugeSpec) -> bool:
 def convolution_distance(src: RaySheaf, dst: RaySheaf, gauge: GaugeSpec) -> DistanceResult:
     """Least c at which the sheaves become c-isomorphic: the largest
     sorted-pair gap over the gauge speed, always attained (or infinite on
-    a count mismatch)."""
+    a count mismatch).  Sheaves over different fields are refused first."""
+    if src.p != dst.p:
+        raise ValueError("field mismatch")
     speed = _gauge_speed(gauge)
     direction = (gauge.v[0],)
     if src.count != dst.count:
@@ -195,8 +192,6 @@ def convolution_distance(src: RaySheaf, dst: RaySheaf, gauge: GaugeSpec) -> Dist
         return DistanceResult(
             value=Fraction(0), attained=True, mode="exact", direction=direction
         )
-    if src.p != dst.p:
-        raise ValueError("field mismatch")
     gap = max(abs(s - t) for s, t in zip(src.births, dst.births))
     return DistanceResult(value=gap / speed, attained=True, mode="exact", direction=direction)
 
@@ -206,7 +201,7 @@ def to_gamma_module(rs: RaySheaf) -> GammaModule:
     cell counts births strictly below it, an interval cell counts births
     up to its left endpoint, and structure maps are the prefix projections
     of the sorted-birth coordinates."""
-    cone = _line()
+    cone = line_cone()
     breaks = sorted(set(rs.births))
     cx = CellComplex(cone, [breaks])
     births = rs.births  # sorted
@@ -240,7 +235,7 @@ class ConvIntRecord:
 
 
 def compare_with_interleaving(
-    src: RaySheaf, dst: RaySheaf, gauge: GaugeSpec, budget: int = 20
+    src: RaySheaf, dst: RaySheaf, gauge: GaugeSpec, budget: int = DEFAULT_BUDGET
 ) -> ConvIntRecord:
     """Convolution distance of the sheaves against the interleaving
     distance of their stabilized modules in the gauge direction."""
@@ -257,7 +252,7 @@ def properness_report(rs: RaySheaf) -> tuple[bool, bool]:
     mirrored one holds whenever the sheaf is nonempty."""
     if not rs.births:
         return True, True
-    cone = _line()
+    cone = line_cone()
     support = PolySet(
         vertices=tuple((b,) for b in rs.births), recession=((Fraction(1),),)
     )

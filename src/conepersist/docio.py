@@ -17,7 +17,7 @@ from .conv1d import RaySheaf
 from .exactla import FieldMat
 from .interleave import InterleavingWitness
 from .persist import ArrModule, ModMorphism
-from .rational import format_rational, parse_rational
+from .rational import format_vector, parse_rational
 from .sites import GammaModule
 
 __all__ = [
@@ -63,10 +63,6 @@ def _vector(x, what="vector"):
         raise DocumentError(f"bad {what}: {e}") from None
 
 
-def _vector_out(v):
-    return [format_rational(x) for x in v]
-
-
 def _int_matrix(m, what="matrix"):
     if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
         raise DocumentError(f"{what} must be a list of rows")
@@ -96,8 +92,8 @@ def _cell_index(x, what="cell index"):
 
 def cone_to_payload(cone: ConeSpec) -> dict:
     return {
-        "normals": [_vector_out(n) for n in cone.normals],
-        "generators": [_vector_out(g) for g in cone.generators],
+        "normals": [format_vector(n) for n in cone.normals],
+        "generators": [format_vector(g) for g in cone.generators],
     }
 
 
@@ -116,10 +112,10 @@ def cone_from_payload(payload) -> ConeSpec:
 def _complex_payload(cx: CellComplex) -> dict:
     cone = dict(cone_to_payload(cx.cone))
     if cx.transform is not None:
-        cone["transform"] = [_vector_out(row) for row in cx.transform]
+        cone["transform"] = [format_vector(row) for row in cx.transform]
     return {
         "cone": cone,
-        "axes": [[format_rational(b) for b in ax.breaks] for ax in cx.axes],
+        "axes": [format_vector(ax.breaks) for ax in cx.axes],
     }
 
 
@@ -140,13 +136,9 @@ def _complex_from(payload) -> CellComplex:
     return CellComplex(cone, breaks, transform)
 
 
-def _cell_kind(cell) -> list[str]:
-    return ["point" if i % 2 else "open" for i in cell]
-
-
 def module_to_payload(mod: ArrModule) -> dict:
     cells = [
-        {"index": list(c), "kind": _cell_kind(c), "dim": d}
+        {"index": list(c), "kind": list(mod.complex.cell_kind(c)), "dim": d}
         for c, d in sorted(mod.dims.items())
     ]
     maps = [
@@ -175,7 +167,7 @@ def module_from_payload(payload) -> ArrModule:
     for cell in _list(payload["cells"], "cells"):
         _expect(cell, ("index", "kind", "dim"))
         idx = _cell_index(cell["index"])
-        if cell["kind"] != _cell_kind(idx):
+        if cell["kind"] != list(cx.cell_kind(idx)):
             raise DocumentError(f"cell kind mismatch at {idx}")
         d = cell["dim"]
         if not isinstance(d, int) or isinstance(d, bool) or d < 0:
@@ -203,7 +195,7 @@ def gamma_module_from_payload(payload) -> GammaModule:
 
 
 def sheaf_to_payload(rs: RaySheaf) -> dict:
-    return {"field": rs.p, "births": [format_rational(b) for b in rs.births]}
+    return {"field": rs.p, "births": format_vector(rs.births)}
 
 
 def sheaf_from_payload(payload) -> RaySheaf:
@@ -247,7 +239,7 @@ def morphism_from_payload(payload) -> ModMorphism:
 
 def witness_to_payload(w: InterleavingWitness) -> dict:
     return {
-        "direction": _vector_out(w.v),
+        "direction": format_vector(w.v),
         "first": module_to_payload(w.F),
         "second": module_to_payload(w.G),
         "f": morphism_to_payload(w.f),

@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import CellComplex, cell_map, common_refinement, table_lookup
-from .exactla import FieldMat, SolutionSpace, affine_solution_space
-from .persist import ArrModule, ModMorphism, restrict_module, smoothing
+from .arrangement import CellComplex, cell_map, table_lookup
+from .exactla import FieldMat, affine_solution_space
+from .persist import ArrModule, ModMorphism, hom_space, on_common_grid, restrict_module, smoothing
 from .rational import Vec, as_vec
 from .sites import beta_star
 
@@ -140,14 +140,6 @@ class DistanceResult:
 
 
 # -- decision ---------------------------------------------------------------------
-
-
-def _common_base(F: ArrModule, G: ArrModule):
-    """F and G restricted to the common refinement of their grids."""
-    if F.p != G.p:
-        raise ValueError("field mismatch")
-    base, (mf, mg) = common_refinement(F.complex, G.complex)
-    return restrict_module(F, base, mf), restrict_module(G, base, mg)
 
 
 def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
@@ -279,38 +271,20 @@ def _rank_pair_refutes(F0: ArrModule, G0: ArrModule, grids: _Grids) -> bool:
 
 
 class _Side:
-    """One direction of the search: unknown maps shift(A, v) -> B, one
-    component per witness-grid cell, and the space of natural families."""
+    """One direction of the search: the natural maps from shift(A, v) to
+    B, with both restricted onto the witness grid w1 (along tv and t0),
+    so the unknowns and components are keyed by w1 cell."""
 
     def __init__(self, name: str, A: ArrModule, B: ArrModule, w1: CellComplex, t0, tv):
-        self.name, self.A, self.B, self.t0, self.tv = name, A, B, t0, tv
-        # unknowns and components are keyed by their w1 cell
-        self.unknowns = {}
-        for c in w1.cells():
-            rows, cols = B.dim_at(t0(c)), A.dim_at(tv(c))
-            if rows and cols:
-                self.unknowns[c] = (rows, cols)
-        self.nat_eqs = []
-        for a, b in w1.cover_pairs():
-            rows, cols = B.dim_at(t0(a)), A.dim_at(tv(b))
-            if not rows or not cols:
-                continue
-            terms = []
-            if b in self.unknowns:
-                terms.append((B.structure_map(t0(a), t0(b)), b, None))
-            if a in self.unknowns:
-                terms.append((None, a, -A.structure_map(tv(a), tv(b))))
-            if terms:
-                self.nat_eqs.append((terms, FieldMat.zero(A.p, rows, cols)))
-        self.space: SolutionSpace = affine_solution_space(A.p, self.unknowns, self.nat_eqs)
-        if not self.space.feasible:
-            raise AssertionError("homogeneous naturality system lost the zero solution")
+        self.name = name
+        self.src, self.dst = restrict_module(A, w1, tv), restrict_module(B, w1, t0)
+        self.unknowns, self.nat_eqs, self.space = hom_space(self.src, self.dst)
 
     def at(self, comps: dict, cell) -> FieldMat:
         """The component at a w1 cell, or the zero map of its shape."""
         m = comps.get(cell)
         if m is None:
-            m = FieldMat.zero(self.A.p, self.B.dim_at(self.t0(cell)), self.A.dim_at(self.tv(cell)))
+            m = FieldMat.zero(self.src.p, self.dst.dim_at(cell), self.src.dim_at(cell))
         return m
 
 
@@ -354,8 +328,9 @@ class _Search:
     def solve(self, fixed: _Side, comps: dict):
         """Components of the other side that complete fixed's components
         to an interleaving, or None when none exist.  The composite whose
-        target is fixed.A has the unknown on the left, the other one has
-        it on the right; a rank test refutes either before solving."""
+        target is fixed's own module (F for f) has the unknown on the
+        left, the other one has it on the right; a rank test refutes
+        either before solving."""
         other = self.other(fixed)
         equations = list(other.nat_eqs)
         for a1, b1, tf, tg in self.targets:
@@ -430,7 +405,7 @@ def is_interleaved(F: ArrModule, G: ArrModule, v, budget: int = DEFAULT_BUDGET):
 
     Raises BudgetExceededError when the search space is too large to sweep;
     that outcome makes no existence claim either way."""
-    found = _decide(*_common_base(F, G), v, budget)
+    found = _decide(*on_common_grid(F, G), v, budget)
     return None if found is None else _certified(found)
 
 
@@ -520,7 +495,7 @@ def interleaving_distance(
         raise ValueError("mode must be 'exact' or 'bracketed'")
     # one base grid for every decision, so the restricted modules keep
     # their structure-map caches across probes
-    F0, G0 = _common_base(F, G)
+    F0, G0 = on_common_grid(F, G)
     # parameter -> _decide's unverified components, or None; only the
     # witness a result carries gets assembled and verified
     memo: dict[Fraction, tuple | None] = {}
@@ -564,7 +539,9 @@ def interleaving_distance(
     cands = _candidate_parameters(F, G, v0)
     first = _first_true(cands, lambda c: decide(c) is not None)
     if first is None:
-        tail = max(cands[-1], _diameter_bound(F, G, v0)) + 1
+        # the widest breakpoint pair of each axis is a candidate, so the
+        # last one already exceeds the breakpoint diameter
+        tail = cands[-1] + 1
         return infinite if decide(tail) is None else result(cands[-1], False, tail)
     if first:
         # the decision is constant strictly between consecutive candidates,

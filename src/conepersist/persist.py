@@ -24,6 +24,8 @@ __all__ = [
     "point_module",
     "principal_module",
     "direct_sum",
+    "on_common_grid",
+    "hom_space",
     "shift_module",
     "shift_morphism",
     "smoothing",
@@ -70,25 +72,28 @@ class ArrModule:
         return FieldMat.zero(self.p, self.dim_at(a), self.dim_at(b))
 
     def structure_map(self, a: Cell, b: Cell) -> FieldMat:
-        """Composite structure map F(b) -> F(a) for any a <= b."""
+        """Composite structure map F(b) -> F(a) for any a <= b, cached for
+        a and every cell on the path down to it."""
         if a == b:
             return FieldMat.identity(self.p, self.dim_at(a))
-        key = (a, b)
-        cached = self._smap_cache.get(key)
-        if cached is not None:
-            return cached
+        out = self._smap_cache.get((a, b))
+        if out is not None:
+            return out
         if not self.complex.cell_leq(a, b):
             raise ValueError(f"cells are not ordered: {a} !<= {b}")
-        # peel one cover step off b toward a on the first axis that differs
-        for j in range(len(b)):
-            if a[j] != b[j]:
-                mid = self.complex.step_down(b, j)
-                out = self.cover_map(mid, b)
-                if mid != a:
-                    out = self.structure_map(a, mid) @ out
-                self._smap_cache[key] = out
-                return out
-        raise AssertionError("unreachable: a != b but no axis differs")
+        # step down from b on the first axis that differs, until a or a
+        # cell whose map from a is cached, then compose back up
+        path = [b]
+        while out is None and path[-1] != a:
+            cur = path[-1]
+            j = next(j for j in range(len(a)) if a[j] != cur[j])
+            path.append(self.complex.step_down(cur, j))
+            out = self._smap_cache.get((a, path[-1]))
+        for i in range(len(path) - 2, -1, -1):
+            step = self.cover_map(path[i + 1], path[i])
+            out = step if out is None else out @ step
+            self._smap_cache[(a, path[i])] = out
+        return out
 
     def structure_rank(self, a: Cell, b: Cell) -> int:
         """Rank of structure_map(a, b), cached per cell pair."""
@@ -296,13 +301,18 @@ def restrict_morphism(f: ModMorphism, refined: CellComplex, cell_map) -> ModMorp
     return ModMorphism(src, dst, comps, validate=False)
 
 
-def direct_sum(f: ArrModule, g: ArrModule) -> ArrModule:
-    """Cellwise direct sum on the common refinement of the two complexes."""
+def on_common_grid(f: ArrModule, g: ArrModule):
+    """f and g restricted to the common refinement of their grids."""
     if f.p != g.p:
         raise ValueError("field mismatch")
     refined, (mf, mg) = common_refinement(f.complex, g.complex)
-    rf = restrict_module(f, refined, mf)
-    rg = restrict_module(g, refined, mg)
+    return restrict_module(f, refined, mf), restrict_module(g, refined, mg)
+
+
+def direct_sum(f: ArrModule, g: ArrModule) -> ArrModule:
+    """Cellwise direct sum on the common refinement of the two complexes."""
+    rf, rg = on_common_grid(f, g)
+    refined = rf.complex
     dims = {}
     for c in refined.cells():
         d = rf.dim_at(c) + rg.dim_at(c)
@@ -366,57 +376,44 @@ def smoothing(mod: ArrModule, v, w) -> ModMorphism:
 # -- pointwise (co)kernels ------------------------------------------------------
 
 
+def _subobject(ambient: ArrModule, basis: dict[Cell, FieldMat]):
+    """The submodule of ambient spanned cellwise by the columns of basis,
+    and its inclusion.  Each structure map carries basis[b] into the span
+    of basis[a], and the submodule's map is read off in that basis."""
+    maps = {}
+    for a, b in ambient.complex.cover_pairs():
+        if a in basis and b in basis:
+            sol = basis[a].solve(ambient.cover_map(a, b) @ basis[b])
+            if sol is None:
+                raise AssertionError("subspace is not preserved by structure maps")
+            maps[(a, b)] = sol
+    dims = {c: m.ncols for c, m in basis.items()}
+    sub = ArrModule(ambient.complex, ambient.p, dims, maps, validate=False)
+    return sub, ModMorphism(sub, ambient, dict(basis), validate=False)
+
+
 def pointwise_kernel(f: ModMorphism):
     """Kernel module and its inclusion into the source."""
-    src = f.src
-    p = src.p
-    ker_basis: dict[Cell, FieldMat] = {}
-    dims = {}
-    for c in src.complex.cells():
-        if not src.dim_at(c):
-            continue
-        k = f.at(c).kernel_basis()
-        if k.ncols:
-            ker_basis[c] = k
-            dims[c] = k.ncols
-    maps = {}
-    for a, b in src.complex.cover_pairs():
-        if dims.get(a) and dims.get(b):
-            # src map carries ker(b) into ker(a); express in kernel bases
-            carried = src.cover_map(a, b) @ ker_basis[b]
-            sol = ker_basis[a].solve(carried)
-            if sol is None:
-                raise AssertionError("kernel is not preserved by structure maps")
-            maps[(a, b)] = sol
-    ker = ArrModule(src.complex, p, dims, maps, validate=False)
-    incl = ModMorphism(ker, src, dict(ker_basis), validate=False)
-    return ker, incl
+    basis = {}
+    for c in f.src.complex.cells():
+        if f.src.dim_at(c):
+            k = f.at(c).kernel_basis()
+            if k.ncols:
+                basis[c] = k
+    return _subobject(f.src, basis)
 
 
 def pointwise_image(f: ModMorphism):
     """Image module, its inclusion into the target, and the corestriction
     of f onto it."""
-    p = f.src.p
     im_basis: dict[Cell, FieldMat] = {}
-    dims = {}
     for c in f.src.complex.cells():
         m = f.at(c)
-        if m.nrows == 0 or m.ncols == 0:
-            continue
-        b = m.column_space_basis()
-        if b.ncols:
-            im_basis[c] = b
-            dims[c] = b.ncols
-    maps = {}
-    for a, b in f.src.complex.cover_pairs():
-        if dims.get(a) and dims.get(b):
-            carried = f.dst.cover_map(a, b) @ im_basis[b]
-            sol = im_basis[a].solve(carried)
-            if sol is None:
-                raise AssertionError("image is not preserved by structure maps")
-            maps[(a, b)] = sol
-    im = ArrModule(f.src.complex, p, dims, maps, validate=False)
-    incl = ModMorphism(im, f.dst, dict(im_basis), validate=False)
+        if m.nrows and m.ncols:
+            b = m.column_space_basis()
+            if b.ncols:
+                im_basis[c] = b
+    im, incl = _subobject(f.dst, im_basis)
     cores_comps = {}
     for c, basis in im_basis.items():
         sol = basis.solve(f.at(c))
@@ -467,6 +464,40 @@ def _quotient_data(p: int, n: int, img: FieldMat):
     if inv is None:
         raise AssertionError("basis completion failed")
     return FieldMat(p, inv.entries[k:], n), s
+
+
+# -- natural maps -----------------------------------------------------------------
+
+
+def hom_space(src: ArrModule, dst: ArrModule):
+    """The natural maps src -> dst of two modules on one grid, as
+    (unknowns, equations, space).  The unknowns are the components, keyed
+    by cell in cells() order, of shape (dst.dim_at(c), src.dim_at(c)) where
+    both are nonzero.  Each cover pair (a, b) with dst(a) and src(b)
+    nonzero and an unknown at a or b gives the naturality equation
+    dst(a <= b) X_b - X_a src(a <= b) = 0, in cover_pairs() order.  space
+    is their SolutionSpace, which always holds the zero map."""
+    unknowns = {}
+    for c in src.complex.cells():
+        rows, cols = dst.dim_at(c), src.dim_at(c)
+        if rows and cols:
+            unknowns[c] = (rows, cols)
+    equations = []
+    for a, b in src.complex.cover_pairs():
+        rows, cols = dst.dim_at(a), src.dim_at(b)
+        if not rows or not cols:
+            continue
+        terms = []
+        if b in unknowns:
+            terms.append((dst.cover_map(a, b), b, None))
+        if a in unknowns:
+            terms.append((None, a, -src.cover_map(a, b)))
+        if terms:
+            equations.append((terms, FieldMat.zero(src.p, rows, cols)))
+    space = affine_solution_space(src.p, unknowns, equations)
+    if not space.feasible:
+        raise AssertionError("homogeneous naturality system lost the zero solution")
+    return unknowns, equations, space
 
 
 # -- random generation ----------------------------------------------------------
@@ -573,28 +604,7 @@ def random_morphism(src: ArrModule, dst: ArrModule, seed: int) -> ModMorphism:
     zero map is natural)."""
     if src.complex != dst.complex or src.p != dst.p:
         raise ValueError("endpoints must share complex and field")
-    p = src.p
-    unknowns = {}
-    for c in src.complex.cells():
-        if src.dim_at(c) and dst.dim_at(c):
-            unknowns[("f", c)] = (dst.dim_at(c), src.dim_at(c))
-    equations = []
-    for a, b in src.complex.cover_pairs():
-        rows = dst.dim_at(a)
-        cols = src.dim_at(b)
-        if not rows or not cols:
-            continue
-        terms = []
-        if ("f", b) in unknowns:
-            terms.append((dst.cover_map(a, b), ("f", b), None))
-        if ("f", a) in unknowns:
-            terms.append((-FieldMat.identity(p, rows), ("f", a), src.cover_map(a, b)))
-        if terms:
-            equations.append((terms, FieldMat.zero(p, rows, cols)))
-    space = affine_solution_space(p, unknowns, equations)
-    if not space.feasible:
-        raise AssertionError("zero morphism must always be natural")
+    _, _, space = hom_space(src, dst)
     rng = random.Random(seed)
-    sol = space.element([rng.randrange(p) for _ in range(space.dim)])
-    comps = {c: m for (_, c), m in sol.items()}
+    comps = space.element([rng.randrange(src.p) for _ in range(space.dim)])
     return ModMorphism(src, dst, comps, validate=False)

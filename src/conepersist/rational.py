@@ -35,10 +35,6 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_vector(items: Sequence) -> Vec:
-    return tuple(parse_rational(t) for t in items)
-
-
 def format_vector(v: Iterable[Fraction]) -> list[str]:
     return [format_rational(x) for x in v]
 

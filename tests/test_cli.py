@@ -286,6 +286,16 @@ def test_distance_convolution(tmp_path, capsys):
     assert lines[0]["value"] == "3/2"
 
 
+def test_distance_convolution_field_mismatch_exits_3(tmp_path, capsys):
+    # the field is checked before the counts: unequal counts (once inf)
+    # and two empty sheaves (once 0) are refused like equal counts
+    for src, dst in (([0], [0]), ([0], [0, 1]), ([], [])):
+        a = _save(tmp_path, "f2.json", RaySheaf.make(src, 2))
+        b = _save(tmp_path, "f3.json", RaySheaf.make(dst, 3))
+        code, lines = _run(capsys, "distance", "convolution", a, b, "--direction", "1")
+        assert code == 3 and lines[0]["error"] == "invalid"
+
+
 def test_distance_convolution_gauge_errors_exit_4(tmp_path, capsys):
     a = _save(tmp_path, "s0.json", RaySheaf.make([Fraction(0)], 2))
     for bad in ("-1", "0", "1,1"):

@@ -25,6 +25,7 @@ from conepersist.persist import (
     ArrModule,
     ModMorphism,
     direct_sum,
+    on_common_grid,
     point_module,
     principal_module,
     random_module,
@@ -482,7 +483,7 @@ def test_rank_pair_refutations_are_sound(p, cx, cy, sf, sg, translate, data):
     else:
         G = random_module(cy, p, sg, max_dim=2, zero_chance=0.5)
     v = tuple(data.draw(st.integers(0, 3).map(lambda n: Fraction(n, 2))) for _ in range(cx.dim))
-    F0, G0 = interleave._common_base(F, G)
+    F0, G0 = on_common_grid(F, G)
     refutes = interleave._rank_pair_refutes(F0, G0, interleave._Grids(F0.complex, v))
     try:
         interleaved = raw_is_interleaved(F, G, v, max_candidates=3**6)

@@ -1,17 +1,23 @@
 """Modules on cell arrangements: constructors, structure maps, exactness."""
+import hashlib
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conepersist.arrangement import CellComplex, common_refinement
 from conepersist.cone import ConeSpec
+from conepersist.docio import document_for
 from conepersist.exactla import FieldMat
 from conepersist.persist import (
     ArrModule,
     ModMorphism,
     direct_sum,
+    hom_space,
     identity_morphism,
     point_module,
     pointwise_cokernel,
@@ -92,6 +98,20 @@ def test_structure_maps_compose(seed, data):
     b = data.draw(st.sampled_from([c for c in cells if cx.cell_leq(a, c)]))
     c = data.draw(st.sampled_from([d for d in cells if cx.cell_leq(b, d)]))
     assert F.structure_map(a, c) == F.structure_map(a, b) @ F.structure_map(b, c)
+
+
+def test_structure_map_walks_a_long_line():
+    # 1,000 breakpoints put 1,999 cover steps between the end cells, more
+    # than the interpreter's stack allows one frame each
+    cx = _line_cx(range(1000))
+    P = principal_module(cx, 2, (999,))
+    assert P.structure_map((0,), (1999,)) == FieldMat.identity(2, 1)
+    F = random_module(cx, 3, 7, max_dim=2, zero_chance=0)
+    G = random_module(cx, 3, 7, max_dim=2, zero_chance=0)
+    a, b, c = (0,), (1001,), (2000,)
+    assert F.structure_map(a, c) == G.structure_map(a, b) @ G.structure_map(b, c)
+    # the walk down from c caches the map from a to every cell on the way
+    assert F._smap_cache[(a, b)] == G.structure_map(a, b)
 
 
 def test_structure_map_rejects_unordered_cells():
@@ -237,6 +257,46 @@ def test_smoothing_composes_like_translation():
             assert lhs == rhs
 
 
+# -- natural maps ----------------------------------------------------------------
+
+
+def _natural_count(src, dst, unknowns):
+    """Brute force: how many cellwise matrix families src -> dst, with an
+    entry per unknown, pass ModMorphism.validate."""
+    p = src.p
+    cells = list(unknowns)
+    sizes = [r * c for r, c in unknowns.values()]
+    count = 0
+    for flat in itertools.product(range(p), repeat=sum(sizes)):
+        comps, off = {}, 0
+        for cell, (r, c), n in zip(cells, unknowns.values(), sizes):
+            comps[cell] = FieldMat.make(p, [list(flat[off + i * c : off + (i + 1) * c]) for i in range(r)])
+            off += n
+        try:
+            ModMorphism(src, dst, comps)
+        except ValueError:
+            continue
+        count += 1
+    return count
+
+
+@given(st.sampled_from([2, 3]), st.booleans(), st.integers(0, 10**6), st.integers(0, 10**6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_hom_space_is_the_natural_maps(p, two_d, s1, s2, data):
+    cx = _quad_cx() if two_d else _line_cx((0, 1))
+    max_dim = 1 if two_d else 2
+    src = random_module(cx, p, s1, max_dim=max_dim, zero_chance=0.4)
+    dst = random_module(cx, p, s2, max_dim=max_dim, zero_chance=0.4)
+    unknowns, _, space = hom_space(src, dst)
+    assert unknowns == {
+        c: (dst.dim_at(c), src.dim_at(c)) for c in cx.cells() if src.dim_at(c) and dst.dim_at(c)
+    }
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=space.dim, max_size=space.dim))
+    ModMorphism(src, dst, space.element(coeffs))  # validates naturality
+    assume(p ** sum(r * c for r, c in unknowns.values()) <= 729)
+    assert _natural_count(src, dst, unknowns) == p**space.dim
+
+
 # -- kernels, images, cokernels ----------------------------------------------------------------
 
 
@@ -267,6 +327,37 @@ def test_kernel_image_cokernel_ranks(p, s1, s2, s3):
         q, s = _quotient_data(p, G.dim_at(c), incl_i.at(c))
         assert q @ s == FieldMat.identity(p, q.nrows)
         assert (q @ incl_i.at(c)).is_zero()
+
+
+# sha256 of the kernel, image and cokernel documents of seeded morphisms:
+# a change to how subobjects carry their bases must keep it
+_SUBOBJECT_DIGEST = "4b416f05f31ef6edfb69e31bbfeb3872f85a7e5813a4737497285e8c8fec716c"
+
+
+def _subobject_documents(i):
+    """Documents of the kernel inclusion, the image inclusion and
+    corestriction, and the cokernel projection of a seeded morphism: p
+    alternates 2, 3; pairs 2 and 3 of every four are 2-D."""
+    rng = random.Random(f"subobjects:{i}")
+    p = (2, 3)[i % 2]
+    pool = [Fraction(n, 2) for n in range(-3, 4)]
+    if i % 4 >= 2:
+        cx = _quad_cx(sorted(rng.sample(pool, 1)), sorted(rng.sample(pool, 2)))
+    else:
+        cx = _line_cx(sorted(rng.sample(pool, 3)))
+    F = random_module(cx, p, rng.randrange(10**6))
+    G = random_module(cx, p, rng.randrange(10**6))
+    f = random_morphism(F, G, rng.randrange(10**6))
+    _, incl_k = pointwise_kernel(f)
+    _, incl_i, cores = pointwise_image(f)
+    _, proj = pointwise_cokernel(f)
+    return [document_for(m) for m in (incl_k, incl_i, cores, proj)]
+
+
+def test_pinned_subobjects():
+    records = [_subobject_documents(i) for i in range(24)]
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _SUBOBJECT_DIGEST
 
 
 def test_kernel_of_identity_and_zero():

@@ -7,7 +7,6 @@ from conepersist.rational import (
     format_rational,
     format_vector,
     parse_rational,
-    parse_vector,
 )
 
 
@@ -35,7 +34,7 @@ def test_format_round_trip():
 
 
 def test_vectors():
-    v = parse_vector(["1", "1/2", -3])
+    v = as_vec(["1", "1/2", -3])
     assert v == (Fraction(1), Fraction(1, 2), Fraction(-3))
     assert format_vector(v) == ["1", "1/2", "-3"]
     assert as_vec((1, Fraction(1, 2))) == (Fraction(1), Fraction(1, 2))
