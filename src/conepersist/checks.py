@@ -33,6 +33,7 @@ from .persist import (
     shift_module,
     zero_module,
 )
+from .rational import format_value
 from .sites import beta_star, exactness_probe, is_ephemeral
 
 __all__ = [
@@ -119,8 +120,8 @@ def isometry_case(seed: int, field: int = 2) -> dict:
             continue
         return {
             "ok": rec.equal,
-            "ambient": _show(rec.ambient.value),
-            "stabilized": _show(rec.stabilized.value),
+            "ambient": format_value(rec.ambient.value),
+            "stabilized": format_value(rec.stabilized.value),
             "dim": F.complex.dim,
             "attempt": attempt,
         }
@@ -159,7 +160,7 @@ def _criterion_everywhere(F: ArrModule, v0) -> bool:
     where anything can change decides all of them."""
     if F.is_zero():
         return True
-    cands = _candidate_parameters(F, F, v0)
+    cands = _candidate_parameters(F.complex, v0)
     if len(cands) == 1:
         # at most one breakpoint per axis: no pair of breakpoints can
         # straddle a shift, so the decision is the same at every scale
@@ -185,7 +186,7 @@ def ephemeral_case(seed: int, field: int = 2) -> dict:
         "ok": ok,
         "cells": by_cells,
         "criterion": by_criterion,
-        "distance": _show(d.value),
+        "distance": format_value(d.value),
         "total_dim": F.total_dim(),
     }
 
@@ -234,8 +235,8 @@ def gauge_case(seed: int) -> dict:
     ok = in_bracket and at_value and below
     return {
         "ok": ok,
-        "value": _show(closed),
-        "bracket_width": _show(hi - lo),
+        "value": format_value(closed),
+        "bracket_width": format_value(hi - lo),
         "certified": at_value and below,
     }
 
@@ -271,9 +272,9 @@ def conv_vs_int_case(seed: int, field: int = 2) -> dict:
                 rec = compare_with_interleaving(src, dst, gauge, budget=18)
                 results.append(
                     {
-                        "speed": _show(s),
-                        "convolution": _show(rec.convolution.value),
-                        "interleaving": _show(rec.interleaving.value),
+                        "speed": format_value(s),
+                        "convolution": format_value(rec.convolution.value),
+                        "interleaving": format_value(rec.interleaving.value),
                         "equal": rec.equal,
                     }
                 )
@@ -312,12 +313,6 @@ def serre_case(seed: int, field: int = 2) -> dict:
 
 
 # -- driver -----------------------------------------------------------------------
-
-
-def _show(x) -> str:
-    if x == float("inf"):
-        return "inf"
-    return str(x)
 
 
 SUITES = {

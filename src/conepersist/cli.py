@@ -24,7 +24,7 @@ from .checks import SUITES, run_suite
 from .docio import DocumentError, load_document, save_document
 from .interleave import DEFAULT_BUDGET, BudgetExceededError, interleaving_distance
 from .persist import ArrModule
-from .rational import format_rational, format_vector, parse_rational
+from .rational import format_value, format_vector, parse_rational
 from .sites import GammaModule, alpha_star, beta_inv, beta_star
 
 __all__ = ["main"]
@@ -37,14 +37,6 @@ class UsageError(Exception):
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout)
     sys.stdout.write("\n")
-
-
-def _num(x):
-    if x == float("inf"):
-        return "inf"
-    if x is None:
-        return None
-    return format_rational(x)
 
 
 # -- validate ----------------------------------------------------------------------
@@ -123,22 +115,22 @@ def _distance_json(res, metric):
     out = {
         "ok": True,
         "metric": metric,
-        "value": _num(res.value),
+        "value": format_value(res.value),
         "attained": res.attained,
         "mode": res.mode,
         "direction": format_vector(res.direction),
     }
     if res.bracket is not None:
-        out["bracket"] = [_num(res.bracket[0]), _num(res.bracket[1])]
+        out["bracket"] = [format_value(res.bracket[0]), format_value(res.bracket[1])]
     if res.witness_parameter is not None:
-        out["witness_parameter"] = _num(res.witness_parameter)
+        out["witness_parameter"] = format_value(res.witness_parameter)
     return out
 
 
 def _rational_arg(flag: str, text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise UsageError(f"{flag} needs exact rationals p/q, got {text!r}") from None
 
 
@@ -250,8 +242,8 @@ def main(argv=None) -> int:
             "error": "budget",
             "required": e.required,
             "budget": e.budget,
-            "known_false": _num(e.known_false),
-            "known_true": _num(e.known_true),
+            "known_false": format_value(e.known_false),
+            "known_true": format_value(e.known_true),
         }
         _emit(info)
         return 5

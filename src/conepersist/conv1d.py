@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import ConeSpec, GaugeSpec, PolySet, is_gamma_proper
-from .exactla import FieldMat
+from .exactla import FieldMat, _check_prime
 from .interleave import DEFAULT_BUDGET, DistanceResult, interleaving_distance
 from .rational import parse_rational
 from .sites import GammaModule
@@ -53,6 +53,9 @@ class RaySheaf:
 
     births: tuple[Fraction, ...]
     p: int = 2
+
+    def __post_init__(self):
+        _check_prime(self.p)
 
     @staticmethod
     def make(births, p: int = 2) -> "RaySheaf":

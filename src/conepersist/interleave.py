@@ -142,11 +142,12 @@ class DistanceResult:
 # -- decision ---------------------------------------------------------------------
 
 
-def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
-    """Components (F0, G0, v, w1, f_comps, g_comps) of an interleaving in
-    shift v of two modules on one grid, or None when provably none exists.
-    Nothing is verified here: _certified checks the one witness a caller
-    returns."""
+def _decide(F0: ArrModule, G0: ArrModule, v, budget: int) -> InterleavingWitness | None:
+    """An interleaving of two modules on one grid in shift v, or None when
+    provably none exists.  The witness is built on the modules the search
+    already restricted onto its witness grid (F0 and G0 themselves on the
+    identity path), and nothing is verified here: _certified checks the one
+    witness a caller returns."""
     base = F0.complex
     v = as_vec(v)
     if len(v) != base.dim:
@@ -158,7 +159,8 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
     if v == (Fraction(0),) * base.dim and F0 == G0:
         # the v = 0 witness grid is the base itself
         comps = {c: FieldMat.identity(p, d) for c, d in F0.dims.items()}
-        return F0, G0, v, base, comps, dict(comps)
+        f = ModMorphism(F0, G0, comps, validate=False)
+        return InterleavingWitness(v, f, ModMorphism(G0, F0, comps, validate=False), F0, G0)
 
     grids = _Grids(base, v)
     s0, sv, s2 = map(grids.lookup, ("s0", "sv", "s2"))
@@ -173,7 +175,12 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
             return None
         all_zero = all_zero and not rank_f and not rank_g
     if all_zero:
-        return F0, G0, v, grids.w1, {}, {}
+        w1, t0, tv = grids.w1, grids.lookup("t0"), grids.lookup("tv")
+        f, g = (
+            ModMorphism(restrict_module(A, w1, tv), restrict_module(B, w1, t0), {}, validate=False)
+            for A, B in ((F0, G0), (G0, F0))
+        )
+        return InterleavingWitness(v, f, g, F0, G0)
 
     # cheap sufficient probes: fix a natural family on one side and solve
     # the whole remaining system, which is linear; any hit is a complete
@@ -189,7 +196,7 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int):
         hit = search.first_hit(_enumerate(small, p))
         if hit is None:
             return None
-    return F0, G0, v, grids.w1, hit["f"], hit["g"]
+    return InterleavingWitness(v, *hit, F0, G0)
 
 
 # A breakpoint x of a decision grid is tagged with the translates of the
@@ -275,17 +282,14 @@ class _Side:
     B, with both restricted onto the witness grid w1 (along tv and t0),
     so the unknowns and components are keyed by w1 cell."""
 
-    def __init__(self, name: str, A: ArrModule, B: ArrModule, w1: CellComplex, t0, tv):
-        self.name = name
+    def __init__(self, A: ArrModule, B: ArrModule, w1: CellComplex, t0, tv):
         self.src, self.dst = restrict_module(A, w1, tv), restrict_module(B, w1, t0)
         self.unknowns, self.nat_eqs, self.space = hom_space(self.src, self.dst)
 
-    def at(self, comps: dict, cell) -> FieldMat:
-        """The component at a w1 cell, or the zero map of its shape."""
-        m = comps.get(cell)
-        if m is None:
-            m = FieldMat.zero(self.src.p, self.dst.dim_at(cell), self.src.dim_at(cell))
-        return m
+    def morphism(self, comps: dict) -> ModMorphism:
+        """The components as a map src -> dst, unchecked: verify() checks
+        naturality of the one witness a caller returns."""
+        return ModMorphism(self.src, self.dst, comps, validate=False)
 
 
 class _Search:
@@ -297,8 +301,8 @@ class _Search:
     def __init__(self, F0: ArrModule, G0: ArrModule, grids: _Grids):
         t0, tv, s0, s2, a1, b1 = map(grids.lookup, ("t0", "tv", "s0", "s2", "a1", "b1"))
         self.p = F0.p
-        self.f = _Side("f", F0, G0, grids.w1, t0, tv)
-        self.g = _Side("g", G0, F0, grids.w1, t0, tv)
+        self.f = _Side(F0, G0, grids.w1, t0, tv)
+        self.g = _Side(G0, F0, grids.w1, t0, tv)
 
         def target(A: ArrModule, t):
             lo, hi = s0(t), s2(t)
@@ -316,18 +320,18 @@ class _Search:
         return self.g if side is self.f else self.f
 
     def first_hit(self, attempts):
-        """The first (side, coeffs) of attempts whose natural family on
-        that side extends to an interleaving, as components by side name."""
+        """The maps (f, g) of the first (side, coeffs) of attempts whose
+        natural family on that side extends to an interleaving."""
         for fixed, coeffs in attempts:
-            comps = fixed.space.element(coeffs)
-            solved = self.solve(fixed, comps)
+            known = fixed.morphism(fixed.space.element(coeffs))
+            solved = self.solve(fixed, known)
             if solved is not None:
-                return {fixed.name: comps, self.other(fixed).name: solved}
+                return (known, solved) if fixed is self.f else (solved, known)
         return None
 
-    def solve(self, fixed: _Side, comps: dict):
-        """Components of the other side that complete fixed's components
-        to an interleaving, or None when none exist.  The composite whose
+    def solve(self, fixed: _Side, known: ModMorphism):
+        """The map of the other side that completes fixed's map known to
+        an interleaving, or None when none exists.  The composite whose
         target is fixed's own module (F for f) has the unknown on the
         left, the other one has it on the right; a rank test refutes
         either before solving."""
@@ -335,21 +339,21 @@ class _Search:
         equations = list(other.nat_eqs)
         for a1, b1, tf, tg in self.targets:
             own, cross = (tf, tg) if fixed is self.f else (tg, tf)
-            for rhs, known, unknown, left in ((own, b1, a1, True), (cross, a1, b1, False)):
+            for rhs, cell, unknown, left in ((own, b1, a1, True), (cross, a1, b1, False)):
                 if rhs is None:
                     continue
                 if unknown not in other.unknowns:
                     if not rhs.is_zero():
                         return None
                     continue
-                emat = fixed.at(comps, known)
+                emat = known.at(cell)
                 stacked = FieldMat.vstack(emat, rhs) if left else FieldMat.hstack(emat, rhs)
                 if stacked.rank() != emat.rank():
                     return None
                 term = (None, unknown, emat) if left else (emat, unknown, None)
                 equations.append(([term], rhs))
         space = affine_solution_space(self.p, other.unknowns, equations)
-        return space.particular() if space.feasible else None
+        return other.morphism(space.particular()) if space.feasible else None
 
 
 _PROBE_ROUNDS = 6
@@ -382,19 +386,9 @@ def _enumerate(side: _Side, p: int):
             yield side, c
 
 
-def _certified(found) -> InterleavingWitness:
-    """Assemble the witness from _decide's components and verify it; the
-    one witness a public entry point returns is checked here, and only it."""
-    F0, G0, v, w1, f_comps, g_comps = found
-    # shift(A, v) restricted onto w1 is A restricted along the map at v
-    t0, tv = cell_map(w1, F0.complex), cell_map(w1, F0.complex, v)
-    w = InterleavingWitness(
-        v=v,
-        f=ModMorphism(restrict_module(F0, w1, tv), restrict_module(G0, w1, t0), f_comps, validate=False),
-        g=ModMorphism(restrict_module(G0, w1, tv), restrict_module(F0, w1, t0), g_comps, validate=False),
-        F=F0,
-        G=G0,
-    )
+def _certified(w: InterleavingWitness) -> InterleavingWitness:
+    """w, once verify() passes; the one witness a public entry point
+    returns is checked here, and only it."""
     if not w.verify():
         raise AssertionError("search produced a witness that fails verification")
     return w
@@ -405,8 +399,8 @@ def is_interleaved(F: ArrModule, G: ArrModule, v, budget: int = DEFAULT_BUDGET):
 
     Raises BudgetExceededError when the search space is too large to sweep;
     that outcome makes no existence claim either way."""
-    found = _decide(*on_common_grid(F, G), v, budget)
-    return None if found is None else _certified(found)
+    w = _decide(*on_common_grid(F, G), v, budget)
+    return None if w is None else _certified(w)
 
 
 def zero_interleaving_criterion(F: ArrModule, v) -> bool:
@@ -430,20 +424,12 @@ def _direction_checked(complex_: CellComplex, v0) -> Vec:
     return v0
 
 
-def _axis_breaks(F: ArrModule, G: ArrModule, v0: Vec):
-    """Per axis: the sorted union of both modules' breakpoints, and the
-    speed |v0_j| at which a shift in direction v0 moves along it."""
-    return [
-        (sorted(set(a.breaks) | set(b.breaks)), abs(vj))
-        for a, b, vj in zip(F.complex.axes, G.complex.axes, v0)
-    ]
-
-
-def _candidate_parameters(F: ArrModule, G: ArrModule, v0: Vec) -> list[Fraction]:
+def _candidate_parameters(grid: CellComplex, v0: Vec) -> list[Fraction]:
     """Zero and every parameter at which the shift or the doubled shift
-    bridges two breakpoints of one axis, in increasing order."""
+    bridges two breakpoints of one axis of grid, in increasing order."""
     cands = {Fraction(0)}
-    for breaks, speed in _axis_breaks(F, G, v0):
+    for ax, vj in zip(grid.axes, v0):
+        speed, breaks = abs(vj), ax.breaks
         for i, b in enumerate(breaks):
             for b2 in breaks[i + 1 :]:
                 cands.add((b2 - b) / speed)
@@ -451,9 +437,9 @@ def _candidate_parameters(F: ArrModule, G: ArrModule, v0: Vec) -> list[Fraction]
     return sorted(cands)
 
 
-def _diameter_bound(F: ArrModule, G: ArrModule, v0: Vec) -> Fraction:
+def _diameter_bound(grid: CellComplex, v0: Vec) -> Fraction:
     return max(
-        ((bs[-1] - bs[0]) / speed for bs, speed in _axis_breaks(F, G, v0) if bs),
+        ((ax.breaks[-1] - ax.breaks[0]) / abs(vj) for ax, vj in zip(grid.axes, v0) if ax.breaks),
         default=Fraction(0),
     )
 
@@ -496,9 +482,9 @@ def interleaving_distance(
     # one base grid for every decision, so the restricted modules keep
     # their structure-map caches across probes
     F0, G0 = on_common_grid(F, G)
-    # parameter -> _decide's unverified components, or None; only the
-    # witness a result carries gets assembled and verified
-    memo: dict[Fraction, tuple | None] = {}
+    # parameter -> _decide's unverified witness, or None; only the
+    # witness a result carries gets verified
+    memo: dict[Fraction, InterleavingWitness | None] = {}
 
     def decide(c: Fraction):
         if c not in memo:
@@ -525,7 +511,7 @@ def interleaving_distance(
         lo = Fraction(0)
         if decide(lo) is not None:
             return result(lo, True, lo, (lo, lo))
-        hi = max(_diameter_bound(F, G, v0), Fraction(1)) + 1
+        hi = max(_diameter_bound(F0.complex, v0), Fraction(1)) + 1
         if decide(hi) is None:
             return infinite
         while hi - lo > tol:
@@ -536,7 +522,7 @@ def interleaving_distance(
                 lo = mid
         return result(hi, None, hi, (lo, hi))
 
-    cands = _candidate_parameters(F, G, v0)
+    cands = _candidate_parameters(F0.complex, v0)
     first = _first_true(cands, lambda c: decide(c) is not None)
     if first is None:
         # the widest breakpoint pair of each axis is a candidate, so the

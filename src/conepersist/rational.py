@@ -24,6 +24,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         num, _, den = s.partition("/")
         if "/" in den:
             raise ValueError(f"malformed rational {text!r}")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in rational {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -33,6 +35,14 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_value(x: Fraction | int | float | None) -> str | None:
+    """A result value for output: infinity as "inf", None (no value) as
+    None, and any other value as an exact rational."""
+    if x is None:
+        return None
+    return "inf" if x == float("inf") else format_rational(x)
 
 
 def format_vector(v: Iterable[Fraction]) -> list[str]:

@@ -100,9 +100,6 @@ class OpenSet:
                 keep.append(p)
         return tuple(keep)
 
-    def is_empty(self) -> bool:
-        return not self.pieces
-
     def kinds(self) -> set[str]:
         return {p.kind for p in self.pieces}
 

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from conepersist.arrangement import CellComplex
+from conepersist.arrangement import CellComplex, orthant_transform
 from conepersist.checks import quadrant_cone
 from conepersist.cli import main
 from conepersist.conv1d import RaySheaf, line_cone
+from conepersist.cone import ConeSpec
 from conepersist.docio import load_document, save_document
+from conepersist.interleave import interleaving_distance
 from conepersist.persist import direct_sum, principal_module, random_module
 from conepersist.sites import beta_star
 
@@ -98,15 +100,45 @@ def test_validate_wrong_format_exits_2(tmp_path, capsys):
 
 
 def test_validate_composite_field_exits_3(tmp_path, capsys):
-    F = principal_module(_line_cx(), 2, (0,))
-    path = tmp_path / "mod4.json"
-    save_document(str(path), F)
-    doc = json.loads(path.read_text())
-    doc["payload"]["field"] = 4
-    path.write_text(json.dumps(doc))
-    code, lines = _run(capsys, "validate", str(path))
-    assert code == 3
-    assert lines[0]["ok"] is False and lines[0]["error"] == "invalid"
+    for obj in (principal_module(_line_cx(), 2, (0,)), RaySheaf.make([0, 1])):
+        path = tmp_path / "field4.json"
+        save_document(str(path), obj)
+        doc = json.loads(path.read_text())
+        doc["payload"]["field"] = 4
+        path.write_text(json.dumps(doc))
+        code, lines = _run(capsys, "validate", str(path))
+        assert code == 3
+        assert lines[0]["ok"] is False and lines[0]["error"] == "invalid"
+
+
+def _wedge_cx():
+    wedge = ConeSpec(normals=[(-1, 0), (1, -1)], generators=[(-1, -1), (0, -1)])
+    return CellComplex(wedge, [[0], [Fraction(1, 2)]], transform=orthant_transform(wedge))
+
+
+def test_validate_zero_denominator_exits_2(tmp_path, capsys):
+    P0 = principal_module(_line_cx(), 2, (0,))
+    witness = interleaving_distance(P0, principal_module(_line_cx(), 2, (3,)), (1,)).witness
+    # (document, path to one rational in its payload)
+    cases = [
+        (RaySheaf.make([0, 1]), ("births", 1)),
+        (P0, ("axes", 0, 0)),
+        (line_cone(), ("normals", 0, 0)),
+        (random_module(_wedge_cx(), 2, 8), ("cone", "transform", 1, 0)),
+        (witness, ("direction", 0)),
+    ]
+    for obj, where in cases:
+        path = tmp_path / "zero.json"
+        save_document(str(path), obj)
+        doc = json.loads(path.read_text())
+        holder = doc["payload"]
+        for key in where[:-1]:
+            holder = holder[key]
+        holder[where[-1]] = "1/0"
+        path.write_text(json.dumps(doc))
+        code, lines = _run(capsys, "validate", str(path))
+        assert code == 2, where
+        assert lines[0]["ok"] is False and lines[0]["error"] == "document"
 
 
 # -- functor -------------------------------------------------------------------------

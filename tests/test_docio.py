@@ -236,10 +236,11 @@ def test_rejects_kind_mismatch_and_bad_dims():
 
 def test_rejects_composite_field():
     doc = _module_doc()
-    bad = copy.deepcopy(doc)
-    bad["payload"]["field"] = 4
-    with pytest.raises(ValueError):
-        object_from_document(bad)
+    for good in (doc, document_for(RaySheaf.make([0, 1]))):
+        bad = copy.deepcopy(good)
+        bad["payload"]["field"] = 4
+        with pytest.raises(ValueError):
+            object_from_document(bad)
     structural = copy.deepcopy(doc)
     structural["payload"]["field"] = "2"
     with pytest.raises(DocumentError):

@@ -12,7 +12,7 @@ from conepersist.arrangement import CellComplex, axis_cell_map, cell_map
 from conepersist.cone import ConeSpec
 from conepersist.docio import document_for, witness_from_payload, witness_to_payload
 from conepersist.exactla import FieldMat
-from conepersist import interleave
+from conepersist import interleave, persist
 from conepersist.interleave import (
     BudgetExceededError,
     InterleavingWitness,
@@ -272,6 +272,40 @@ def test_decision_verifies_the_witness_it_returns(verified):
     assert len(verified) == 1 and verified[0] is w
     assert is_interleaved(P0, P3, (1,)) is None
     assert len(verified) == 1
+
+
+@pytest.fixture
+def restricted(monkeypatch):
+    """Every restrict_module call, from persist and from interleave."""
+    calls = []
+    original = persist.restrict_module
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(persist, "restrict_module", counted)
+    monkeypatch.setattr(interleave, "restrict_module", counted)
+    return calls
+
+
+def test_witness_reuses_the_searched_restrictions(restricted):
+    # per witness path: two restrictions onto the common grid, then none
+    # for the identity, four for the zero maps and four for the two search
+    # sides, whose modules the witness keeps
+    cx = _line_cx()
+    P0 = principal_module(cx, 2, (0,))
+    paths = [
+        ("identity", P0, P0, (0,), 2),
+        ("searched", P0, principal_module(cx, 2, (3,)), (3,), 6),
+        ("zero", point_module(cx, 2, (0,)), zero_module(cx, 2), (1,), 6),
+    ]
+    for name, F, G, v, calls in paths:
+        restricted.clear()
+        w = is_interleaved(F, G, v)
+        assert len(restricted) == calls, name
+        assert w.verify(), name
+        assert w.f.is_zero() == (name == "zero"), name
 
 
 # -- interleaving with zero ----------------------------------------------------------

@@ -25,6 +25,8 @@ def test_parse_rejects_floats_and_garbage():
         parse_rational("1/2/3")
     with pytest.raises(ValueError):
         parse_rational("1.5")
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
 
 
 def test_format_round_trip():
