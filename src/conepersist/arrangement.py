@@ -8,6 +8,12 @@ signed orthant in the complex's working coordinates; a general simplicial
 cone enters through the stored rational change of coordinates that carries
 it onto one.  All points, shift vectors and breakpoints passed to this
 module live in the working coordinates.
+
+Every cell map between grids on one cone is built the same way: per axis,
+merge_breaks merges sorted breakpoint runs and tags each point with the runs
+it lies on (axis_cell_map's fine grid is already that merge and is tagged
+directly), axis_table reads an integer table from those tags, and
+table_lookup turns the per-axis tables into a lookup on cells.
 """
 from __future__ import annotations
 
@@ -24,8 +30,10 @@ __all__ = [
     "AxisGrid",
     "CellComplex",
     "axis_cell_map",
+    "axis_table",
     "cell_map",
     "common_refinement",
+    "merge_breaks",
     "orthant_transform",
     "table_lookup",
 ]
@@ -262,34 +270,48 @@ class CellComplex:
         return self._derived([sorted(set(a.breaks).union(as_vec(ex))) for a, ex in zip(self.axes, extra)])
 
 
+def merge_breaks(runs) -> tuple[list[Fraction], list[int]]:
+    """The sorted union of some runs of breakpoints, and per point its tag:
+    bit k set when the point lies on runs[k]."""
+    tags: dict[Fraction, int] = {}
+    for k, run in enumerate(runs):
+        bit = 1 << k
+        for x in run:
+            tags[x] = tags.get(x, 0) | bit
+    merged = sorted(tags)
+    return merged, [tags[x] for x in merged]
+
+
+def axis_table(masks: list[int], target: int) -> list[int]:
+    """Axis cell table of a merged grid, given the tags of its breakpoints,
+    into the grid of those breakpoints tagged in target: a breakpoint in
+    target goes to its own cell, every other cell to the open cell it lies
+    in."""
+    out, j = [], 0
+    for m in masks:
+        if m & target:
+            out += (2 * j, 2 * j + 1)
+            j += 1
+        else:
+            out += (2 * j, 2 * j)
+    out.append(2 * j)
+    return out
+
+
 def axis_cell_map(fine: AxisGrid, coarse: AxisGrid, shift=0) -> list[int]:
     """For each fine axis cell, the coarse axis cell containing its
     translate by shift.
 
     The fine grid must refine the coarse grid moved by -shift, so every
-    translated open fine cell lies inside one open coarse cell.  One merge
-    walk locates each translated fine breakpoint among the coarse ones; an
-    open cell then maps to the open coarse cell below the image of its
-    upper endpoint (above the image of the last breakpoint for the top
-    cell)."""
-    cb = coarse.breaks
-    n = len(cb)
-    out: list[int] = []
-    j = hits = 0
-    for f in fine.breaks:
-        y = f + shift if shift else f
-        while j < n and cb[j] < y:
-            j += 1
-        out.append(2 * j)
-        if j < n and cb[j] == y:
-            out.append(2 * j + 1)
-            hits += 1
-        else:
-            out.append(2 * j)
-    if hits != n:
+    translated open fine cell lies inside one open coarse cell.  The merge
+    of the two is then the fine grid itself, tagged where a fine
+    breakpoint is a moved coarse one, and axis_table reads the map from
+    those tags."""
+    moved = {b - shift for b in coarse.breaks} if shift else set(coarse.breaks)
+    masks = [int(b in moved) for b in fine.breaks]
+    if sum(masks) != len(moved):
         raise ValueError("fine axis grid does not refine the shifted coarse grid")
-    out.append(2 * n)
-    return out
+    return axis_table(masks, 1)
 
 
 def cell_map(fine: CellComplex, coarse: CellComplex, shift=None):
@@ -314,13 +336,12 @@ def common_refinement(*complexes: CellComplex):
     for c in complexes[1:]:
         if not first.compatible(c):
             raise ValueError("complexes disagree on cone or coordinates")
-    merged = [
-        tuple(sorted(set().union(*(set(c.axes[j].breaks) for c in complexes))))
-        for j in range(first.dim)
-    ]
-    # an input that already refines the others is the answer itself
+    per_axis = [merge_breaks(c.axes[j].breaks for c in complexes) for j in range(first.dim)]
+    bits = [1 << k for k in range(len(complexes))]
+    # an input whose bit tags every merged breakpoint already refines the
+    # others and is the answer itself
     refined = next(
-        (c for c in complexes if all(a.breaks == m for a, m in zip(c.axes, merged))),
+        (c for c, bit in zip(complexes, bits) if all(m & bit for _, masks in per_axis for m in masks)),
         None,
-    ) or first._derived(merged)
-    return refined, [cell_map(refined, c) for c in complexes]
+    ) or first._derived([merged for merged, _ in per_axis])
+    return refined, [table_lookup(refined, [axis_table(masks, bit) for _, masks in per_axis]) for bit in bits]

@@ -14,6 +14,7 @@ interleaving search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -189,6 +190,7 @@ def _cmd_check(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="conepersist",

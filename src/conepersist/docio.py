@@ -31,8 +31,6 @@ __all__ = [
 
 FORMAT = "conepersist/1"
 
-KINDS = ("cone", "arr-module", "gamma-module", "ray-sheaf", "morphism", "witness")
-
 
 class DocumentError(ValueError):
     """Malformed document structure."""

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import CellComplex, cell_map, table_lookup
+from .arrangement import CellComplex, axis_table, cell_map, merge_breaks, table_lookup
 from .exactla import FieldMat, affine_solution_space
 from .persist import ArrModule, ModMorphism, hom_space, on_common_grid, restrict_module, smoothing
 from .rational import Vec, as_vec
@@ -210,46 +210,27 @@ _TABLE_TARGETS = (
 )
 
 
-def _axis_table(masks: list[int], target: int) -> list[int]:
-    """Axis cell table of a grid, given the tags of its breakpoints, into
-    the grid of those breakpoints tagged in target: a breakpoint in target
-    goes to its own cell, every other cell to the open cell it lies in."""
-    out, j = [], 0
-    for m in masks:
-        if m & target:
-            out += (2 * j, 2 * j + 1)
-            j += 1
-        else:
-            out += (2 * j, 2 * j)
-    out.append(2 * j)
-    return out
-
-
 class _Grids:
     """The grids of one decision in shift v: the witness grid w1 (the base
     and its v-translate) and the composite grid w2 (w1 and the base's
     2v-translate), with the per-axis tables of their cell maps.  t0 and
     tv send w1 to the base at shifts 0 and v; s0, sv and s2 send w2 to the
-    base at 0, v and 2v; a1 and b1 send w2 to w1 at 0 and v.  One merge of
-    the base breakpoints with their two translates gives both grids per
-    axis, and integer walks over the tags give every table."""
+    base at 0, v and 2v; a1 and b1 send w2 to w1 at 0 and v.  Per axis, one
+    arrangement.merge_breaks of the base breakpoints with their two
+    translates gives both grids, and arrangement.axis_table reads every
+    table from its tags."""
 
     def __init__(self, base: CellComplex, v: Vec):
         breaks = {"w1": [], "w2": []}
         self.tables: dict[str, list[list[int]]] = {name: [] for name, _, _ in _TABLE_TARGETS}
         for ax, vj in zip(base.axes, v):
-            tags: dict[Fraction, int] = {}
-            for k in range(3):
-                for b in ax.breaks:
-                    x = b - k * vj
-                    tags[x] = tags.get(x, 0) | 1 << k
-            merged = sorted(tags.items())  # three sorted runs
-            on_w1 = [(x, m) for x, m in merged if m & 3]
-            masks = {"w1": [m for _, m in on_w1], "w2": [m for _, m in merged]}
+            merged, tags = merge_breaks([b - k * vj for b in ax.breaks] for k in range(3))
+            on_w1 = [(x, m) for x, m in zip(merged, tags) if m & 3]
+            masks = {"w1": [m for _, m in on_w1], "w2": tags}
             breaks["w1"].append([x for x, _ in on_w1])
-            breaks["w2"].append([x for x, _ in merged])
+            breaks["w2"].append(merged)
             for name, grid, target in _TABLE_TARGETS:
-                self.tables[name].append(_axis_table(masks[grid], target))
+                self.tables[name].append(axis_table(masks[grid], target))
         self.w1, self.w2 = base._derived(breaks["w1"]), base._derived(breaks["w2"])
 
     def lookup(self, name: str):

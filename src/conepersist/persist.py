@@ -514,20 +514,16 @@ def random_module(
     maps square by square so every 2-face commutes."""
     if complex_.dim > 2:
         raise ValueError("random generation supports one or two axes")
-    rng = random.Random(seed)
-    for _ in range(64):
-        mod = _try_random_module(complex_, p, rng, max_dim, zero_chance)
-        if mod is not None:
-            mod.validate()
-            return mod
-    raise RuntimeError("random module generation did not converge")
+    mod = _draw_module(complex_, p, random.Random(seed), max_dim, zero_chance)
+    mod.validate()
+    return mod
 
 
 def _rand_mat(rng: random.Random, p: int, rows: int, cols: int) -> FieldMat:
     return FieldMat.make(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
 
 
-def _try_random_module(complex_, p, rng, max_dim, zero_chance):
+def _draw_module(complex_, p, rng, max_dim, zero_chance):
     dims = {}
     for c in complex_.cells():
         d = 0 if rng.random() < zero_chance else rng.randint(1, max_dim)
@@ -573,11 +569,11 @@ def _try_random_module(complex_, p, rng, max_dim, zero_chance):
         # constraint: get(a,m1) @ X1 == get(a,m2) @ X2 on the square (a,m1,m2,b)
         da = dims.get(a, 0)
         unknowns = {}
-        if edges and (m1, b) in edges:
+        if (m1, b) in edges:
             unknowns["x1"] = (dims[m1], dims[b])
-        if edges and (m2, b) in edges:
+        if (m2, b) in edges:
             unknowns["x2"] = (dims[m2], dims[b])
-        if not da or not dims.get(b):
+        if not da:
             for e in edges:
                 maps[e] = _rand_mat(rng, p, dims[e[0]], dims[e[1]])
             continue
@@ -589,8 +585,6 @@ def _try_random_module(complex_, p, rng, max_dim, zero_chance):
             terms.append((neg, "x2", None))
         rhs = FieldMat.zero(p, da, dims[b])
         space = affine_solution_space(p, unknowns, [(terms, rhs)])
-        if not space.feasible:
-            return None
         coeffs = [rng.randrange(p) for _ in range(space.dim)]
         sol = space.element(coeffs)
         for name, e in (("x1", (m1, b)), ("x2", (m2, b))):

@@ -5,29 +5,32 @@ the wire format is the string "p/q" (or "p" for integers) with q > 0.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Floats are rejected."""
+    """Parse "p/q" (q > 0) or "p" into a Fraction: ASCII digits, a sign on
+    p alone, and whitespace only around the whole.  Anything else, floats
+    included, raises ValueError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string or int, got {type(text).__name__}")
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if "/" in den:
-            raise ValueError(f"malformed rational {text!r}")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in rational {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"malformed rational {text!r}")
+    num, den = m.groups(default="1")
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    return Fraction(int(num), int(den))
 
 
 def format_rational(x: Fraction | int) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import ANTIPODAL, INTERIOR, CellComplex
+from .arrangement import ANTIPODAL, INTERIOR, CellComplex, table_lookup
 from .cone import ConeSpec
 from .persist import (
     ArrModule,
@@ -230,7 +230,7 @@ class GammaModule:
 def _look(cx: CellComplex, direction: str):
     """Cell map sending each cell to the cell just inside it on the given
     side; the corner functors pull back along it."""
-    return {c: cx.just_inside(c, direction) for c in cx.cells()}.__getitem__
+    return table_lookup(cx, [[a.just_inside(i, direction) for i in range(a.ncells)] for a in cx.axes])
 
 
 def _corner_pushforward(mod: ArrModule, direction: str) -> ArrModule:

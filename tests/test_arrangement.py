@@ -269,15 +269,15 @@ def test_common_refinement_cell_maps():
 
 @given(st.lists(st.integers(-3, 3).map(Fraction), min_size=1, max_size=3, unique=True),
        st.lists(st.integers(-3, 3).map(Fraction), min_size=1, max_size=3, unique=True),
+       st.lists(st.integers(-6, 6).map(lambda n: Fraction(n, 2)), max_size=3, unique=True),
        st.integers(-8, 8).map(lambda n: Fraction(n, 2)))
 @settings(max_examples=60, deadline=None)
-def test_common_refinement_property(bx, by, x):
-    a = CellComplex(_line(), [bx])
-    b = CellComplex(_line(), [by])
-    refined, maps = common_refinement(a, b)
+def test_common_refinement_property(bx, by, bz, x):
+    inputs = [CellComplex(_line(), [bs]) for bs in (bx, by, bz)]
+    refined, maps = common_refinement(*inputs)
     cell = refined.cell_of((x,))
-    assert maps[0](cell) == a.cell_of((x,))
-    assert maps[1](cell) == b.cell_of((x,))
+    for c, to_c in zip(inputs, maps):
+        assert to_c(cell) == c.cell_of((x,))
 
 
 def test_common_refinement_rejects_mismatched_cones():

@@ -3,6 +3,7 @@
 Each test drives main() directly with temp-file documents and checks the
 exit code together with the JSON lines printed on stdout.
 """
+import itertools
 import json
 from fractions import Fraction
 
@@ -127,17 +128,18 @@ def test_validate_zero_denominator_exits_2(tmp_path, capsys):
         (random_module(_wedge_cx(), 2, 8), ("cone", "transform", 1, 0)),
         (witness, ("direction", 0)),
     ]
-    for obj, where in cases:
+    # a negative denominator is outside the "p/q" (q > 0) format too
+    for (obj, where), text in itertools.product(cases, ("1/0", "1/-2")):
         path = tmp_path / "zero.json"
         save_document(str(path), obj)
         doc = json.loads(path.read_text())
         holder = doc["payload"]
         for key in where[:-1]:
             holder = holder[key]
-        holder[where[-1]] = "1/0"
+        holder[where[-1]] = text
         path.write_text(json.dumps(doc))
         code, lines = _run(capsys, "validate", str(path))
-        assert code == 2, where
+        assert code == 2, (where, text)
         assert lines[0]["ok"] is False and lines[0]["error"] == "document"
 
 

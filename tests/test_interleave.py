@@ -575,6 +575,9 @@ def test_decision_grids_match_the_constructor_and_cell_maps(base, data):
         tables = [axis_cell_map(f, c, sj) for f, c, sj in zip(fine.axes, coarse.axes, shift)]
         for cell in fine.cells():
             assert got(cell) == want(cell) == tuple(t[i] for t, i in zip(tables, cell))
+            # point location, independent of the shared table builder
+            point = tuple(x + sj for x, sj in zip(fine.representative(cell), shift))
+            assert got(cell) == coarse.cell_of(point)
 
 
 # -- pinned results ------------------------------------------------------------------

@@ -27,6 +27,10 @@ def test_parse_rejects_floats_and_garbage():
         parse_rational("1.5")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    # outside the "p/q" (q > 0) or "p" format in ASCII digits
+    for text in ("1/-2", "1/+2", "1_000", "\u0663", "1/ 2"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_format_round_trip():
