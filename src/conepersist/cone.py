@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .qlinalg import qnullspace, qrank, qsolve
+from .qlinalg import qnullspace, qrank
 from .rational import Vec, as_vec
 
 __all__ = [
@@ -42,7 +42,7 @@ def _primitive(v: Vec) -> tuple[int, ...]:
 
 
 def _dot(a, b) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def _halfspace_extreme_rays(rows: list[Vec], dim: int) -> list[tuple[int, ...]]:
@@ -68,24 +68,6 @@ def _halfspace_extreme_rays(rows: list[Vec], dim: int) -> list[tuple[int, ...]]:
     return sorted(rays)
 
 
-def _in_generated_cone(x: Vec, gens: list[Vec], dim: int) -> bool:
-    """Exact membership of x in the cone generated by gens (Caratheodory)."""
-    if all(v == 0 for v in x):
-        return True
-    if not gens:
-        return False
-    for k in range(1, dim + 1):
-        for subset in itertools.combinations(gens, k):
-            cols = [list(g) for g in subset]
-            if qrank(cols) < k:
-                continue
-            a = [[cols[j][i] for j in range(k)] for i in range(dim)]
-            lam = qsolve(a, list(x))
-            if lam is not None and all(l >= 0 for l in lam):
-                return True
-    return False
-
-
 class ConeSpec:
     """A closed proper convex polyhedral cone with nonempty interior.
 
@@ -97,8 +79,8 @@ class ConeSpec:
       * every generator pairs >= 0 with every normal,
       * the normals have full rank (properness: the cone contains no line),
       * the sum of the generators is strictly interior,
-      * for dim <= 3, the halfspace description and the generators carve
-        out the same cone (mutual containment via extreme rays).
+      * the halfspace description and the generators carve out the same
+        cone: every extreme ray of the halfspace cone is a generator.
     """
 
     def __init__(self, normals, generators):
@@ -141,12 +123,12 @@ class ConeSpec:
         for n in self.normals:
             if _dot(n, w) <= 0:
                 raise ValueError("generator sum is not interior: empty interior or bad description")
-        if self.dim <= 3:
-            for ray in _halfspace_extreme_rays([as_vec(n) for n in self.normals], self.dim):
-                if not _in_generated_cone(as_vec(ray), [as_vec(g) for g in self.generators], self.dim):
-                    raise ValueError(
-                        f"halfspace description admits ray {ray} outside the generated cone"
-                    )
+        # the generators lie in the halfspace cone, so an extreme ray of it
+        # is a nonnegative sum of generators only through a positive multiple
+        # of itself; rays and generators are both primitive integer tuples
+        for ray in _halfspace_extreme_rays([as_vec(n) for n in self.normals], self.dim):
+            if ray not in self.generators:
+                raise ValueError(f"halfspace description admits ray {ray} outside the generated cone")
 
     # -- membership and order ------------------------------------------------
 

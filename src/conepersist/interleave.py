@@ -321,11 +321,9 @@ class _Search:
         for a1, b1, tf, tg in self.targets:
             own, cross = (tf, tg) if fixed is self.f else (tg, tf)
             for rhs, cell, unknown, left in ((own, b1, a1, True), (cross, a1, b1, False)):
-                if rhs is None:
-                    continue
-                if unknown not in other.unknowns:
-                    if not rhs.is_zero():
-                        return None
+                # no unknown here means the module opposite the target's is
+                # zero at sv t, so the prune in _decide made the target zero
+                if rhs is None or unknown not in other.unknowns:
                     continue
                 emat = known.at(cell)
                 stacked = FieldMat.vstack(emat, rhs) if left else FieldMat.hstack(emat, rhs)

@@ -47,10 +47,7 @@ class ArrModule:
         self.complex = complex_
         self.p = p
         self.dims: dict[Cell, int] = {c: int(d) for c, d in dims.items() if d}
-        self.maps: dict[tuple[Cell, Cell], FieldMat] = {}
-        for (a, b), m in maps.items():
-            if self.dim_at(a) and self.dim_at(b):
-                self.maps[(a, b)] = m
+        self.maps: dict[tuple[Cell, Cell], FieldMat] = dict(maps)
         self._smap_cache: dict[tuple[Cell, Cell], FieldMat] = {}
         self._rank_cache: dict[tuple[Cell, Cell], int] = {}
         if validate:
@@ -122,6 +119,8 @@ class ArrModule:
                 if not (0 <= i < self.complex.axes[j].ncells):
                     raise ValueError(f"cell index out of range: {c}")
         for (a, b), m in self.maps.items():
+            if not (self.dim_at(a) and self.dim_at(b)):
+                raise ValueError(f"map between cells that carry no space: {(a, b)}")
             if m.p != self.p:
                 raise ValueError("matrix field mismatch")
             if m.nrows != self.dim_at(a) or m.ncols != self.dim_at(b):
@@ -530,13 +529,6 @@ def _draw_module(complex_, p, rng, max_dim, zero_chance):
         if d:
             dims[c] = d
     maps: dict[tuple[Cell, Cell], FieldMat] = {}
-
-    def get(a, b):
-        m = maps.get((a, b))
-        if m is None:
-            return FieldMat.zero(p, dims.get(a, 0), dims.get(b, 0))
-        return m
-
     if complex_.dim == 1:
         for a, b in complex_.cover_pairs():
             if dims.get(a) and dims.get(b):
@@ -566,7 +558,8 @@ def _draw_module(complex_, p, rng, max_dim, zero_chance):
                 maps[e] = _rand_mat(rng, p, dims[e[0]], dims[e[1]])
             continue
         a = down(m1, 1)
-        # constraint: get(a,m1) @ X1 == get(a,m2) @ X2 on the square (a,m1,m2,b)
+        # constraint: maps[a,m1] @ X1 == maps[a,m2] @ X2 on the square
+        # (a,m1,m2,b); each map read joins nonzero cells the sweep has passed
         da = dims.get(a, 0)
         unknowns = {}
         if (m1, b) in edges:
@@ -579,10 +572,9 @@ def _draw_module(complex_, p, rng, max_dim, zero_chance):
             continue
         terms = []
         if "x1" in unknowns:
-            terms.append((get(a, m1), "x1", None))
+            terms.append((maps[(a, m1)], "x1", None))
         if "x2" in unknowns:
-            neg = -get(a, m2)
-            terms.append((neg, "x2", None))
+            terms.append((-maps[(a, m2)], "x2", None))
         rhs = FieldMat.zero(p, da, dims[b])
         space = affine_solution_space(p, unknowns, [(terms, rhs)])
         coeffs = [rng.randrange(p) for _ in range(space.dim)]

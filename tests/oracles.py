@@ -21,6 +21,8 @@ from conepersist.persist import (
     smoothing,
 )
 from conepersist.arrangement import CellComplex, common_refinement
+from conepersist.cone import _halfspace_extreme_rays, _primitive
+from conepersist.qlinalg import qrank, qsolve
 from conepersist.rational import as_vec
 
 
@@ -451,3 +453,61 @@ def reference_verify(w) -> bool:
     lhs_g = _restrict_morphism_onto(w.f, w2).compose(_restrict_morphism_onto(shift_morphism(w.g, w.v), w2))
     chi_g = _restrict_morphism_onto(smoothing(w.G, two_v, (Fraction(0),) * len(w.v)), w2)
     return lhs_g == chi_g
+
+
+# -- the generator-subset reference for ConeSpec's extreme-ray check ----------
+
+
+def _in_generated_cone(x, gens, dim: int) -> bool:
+    """Exact membership of x in the cone generated by gens (Caratheodory)."""
+    if all(v == 0 for v in x):
+        return True
+    if not gens:
+        return False
+    for k in range(1, dim + 1):
+        for subset in itertools.combinations(gens, k):
+            cols = [list(g) for g in subset]
+            if qrank(cols) < k:
+                continue
+            a = [[cols[j][i] for j in range(k)] for i in range(dim)]
+            lam = qsolve(a, list(x))
+            if lam is not None and all(l >= 0 for l in lam):
+                return True
+    return False
+
+
+def reference_cone_accepts(normals, generators) -> bool:
+    """Whether ConeSpec(normals, generators) constructs, decided the slow
+    way: the constructor's canonicalization and its generator, rank and
+    interior checks, then every extreme ray of the halfspace cone searched
+    for among the cones spanned by generator subsets."""
+    norms_q, gens_q = [as_vec(n) for n in normals], [as_vec(g) for g in generators]
+    dims = {len(v) for v in norms_q + gens_q}
+    if not norms_q or not gens_q or len(dims) != 1:
+        return False
+    if any(all(x == 0 for x in v) for v in norms_q + gens_q):
+        return False
+    dim = dims.pop()
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    gens = sorted({_primitive(g) for g in gens_q})
+    norms = sorted({_primitive(n) for n in norms_q})
+    if len(norms) > 1:
+        # a facet's tight generators span a hyperplane
+        facets = []
+        for n in norms:
+            tight = [list(g) for g in gens if dot(n, g) == 0]
+            if dim == 1 or (tight and qrank(tight) >= dim - 1):
+                facets.append(n)
+        norms = facets or norms
+    if any(dot(n, g) < 0 for n in norms for g in gens):
+        return False
+    if qrank([list(n) for n in norms]) != dim:
+        return False
+    interior = [sum(g[i] for g in gens) for i in range(dim)]
+    if any(dot(n, interior) <= 0 for n in norms):
+        return False
+    rays = _halfspace_extreme_rays([as_vec(n) for n in norms], dim)
+    return all(_in_generated_cone(as_vec(r), [as_vec(g) for g in gens], dim) for r in rays)

@@ -101,14 +101,29 @@ def test_validate_wrong_format_exits_2(tmp_path, capsys):
 
 
 def test_validate_composite_field_exits_3(tmp_path, capsys):
-    for obj in (principal_module(_line_cx(), 2, (0,)), RaySheaf.make([0, 1])):
-        path = tmp_path / "field4.json"
+    P1 = principal_module(_line_cx(), 2, (0,))
+    P2 = principal_module(CellComplex(quadrant_cone(), [[0], [0]]), 2, (0, 0))
+    # (document, field, appended map entries): each appended map joins a
+    # cell that carries no space, some through an index of the wrong
+    # length; the empty matrix even has the shape of its two cells
+    cases = [
+        (P1, 4, []),
+        (RaySheaf.make([0, 1]), 4, []),
+        (P2, 2, [{"source": [0], "target": [0, 0], "matrix": [[1]]}]),
+        (P2, 2, [{"source": [0, 0, 0], "target": [0, 0], "matrix": [[1]]}]),
+        (P1, 2, [{"source": [4], "target": [3], "matrix": [[1, 0], [0, 1]]}]),
+        (P2, 2, [{"source": [0], "target": [0, 0, 0], "matrix": []}]),
+    ]
+    for obj, field, maps in cases:
+        path = tmp_path / "invalid.json"
         save_document(str(path), obj)
         doc = json.loads(path.read_text())
-        doc["payload"]["field"] = 4
+        doc["payload"]["field"] = field
+        if maps:
+            doc["payload"]["maps"] += maps
         path.write_text(json.dumps(doc))
         code, lines = _run(capsys, "validate", str(path))
-        assert code == 3
+        assert code == 3, lines
         assert lines[0]["ok"] is False and lines[0]["error"] == "invalid"
 
 
@@ -202,19 +217,23 @@ def test_functor_kind_mismatch_exits_4(tmp_path, capsys):
 
 
 def test_distance_interleaving_exact_with_witness(tmp_path, capsys):
-    a = _save(tmp_path, "p0.json", principal_module(_line_cx(), 2, (0,)))
-    b = _save(tmp_path, "p3.json", principal_module(_line_cx(), 2, (3,)))
-    wpath = str(tmp_path / "w.json")
-    code, lines = _run(
-        capsys, "distance", "interleaving", a, b, "--direction", "1", "--witness", wpath
-    )
-    assert code == 0
-    info = lines[0]
-    assert info["value"] == "3" and info["attained"] is True
-    assert info["mode"] == "exact" and info["direction"] == ["1"]
-    assert info["witness_parameter"] == "3" and info["witness"] == wpath
-    kind, w = load_document(wpath)
-    assert kind == "witness" and w.verify()
+    P0 = principal_module(_line_cx(), 2, (0,))
+    P3 = principal_module(_line_cx(), 2, (3,))
+    # the stabilized (gamma-module) documents are at the same distance
+    for F, G in ((P0, P3), (beta_star(P0), beta_star(P3))):
+        a = _save(tmp_path, "p0.json", F)
+        b = _save(tmp_path, "p3.json", G)
+        wpath = str(tmp_path / "w.json")
+        code, lines = _run(
+            capsys, "distance", "interleaving", a, b, "--direction", "1", "--witness", wpath
+        )
+        assert code == 0
+        info = lines[0]
+        assert info["value"] == "3" and info["attained"] is True
+        assert info["mode"] == "exact" and info["direction"] == ["1"]
+        assert info["witness_parameter"] == "3" and info["witness"] == wpath
+        kind, w = load_document(wpath)
+        assert kind == "witness" and w.verify()
 
 
 def test_distance_interleaving_infinite(tmp_path, capsys):

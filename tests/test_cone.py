@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from conepersist.cone import (
     ConeSpec,
     GaugeSpec,
     PolySet,
+    _halfspace_extreme_rays,
     is_gamma_proper,
     linear_map_compatible,
 )
+from conepersist.rational import as_vec
+from oracles import reference_cone_accepts
 
 
 def _line():
@@ -48,6 +52,52 @@ def test_validation_rejects_bad_descriptions():
         ConeSpec([(-1,), (1,)], [(0,)])  # degenerate point cone
     with pytest.raises(ValueError):
         ConeSpec([(-1, 0)], [(-1,)])  # mixed dimensions
+    with pytest.raises(ValueError):
+        # the orthant's ray (0, 0, 0, 1) is missing from the generators
+        ConeSpec(
+            normals=[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+            generators=[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)],
+        )
+
+
+@st.composite
+def _descriptions(draw):
+    """Integer cone descriptions in dimensions 1-3.  The normals are the
+    facets of the cone some drawn rays span (the extreme rays of its
+    polar), now and then with random normals added.  The generators keep
+    most of the drawn rays and add every sum of two, so a dropped ray often
+    leaves each facet spanned and the generator sum interior: only the
+    extreme-ray test can then reject."""
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    spanning = draw(st.lists(vec, min_size=dim, max_size=dim + 1))
+    normals = _halfspace_extreme_rays([as_vec(r) for r in spanning], dim)
+    if not normals or draw(st.integers(0, 3)) == 0:
+        normals += draw(st.lists(vec, min_size=1, max_size=2))
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(spanning), max_size=len(spanning)))
+    sums = (tuple(x + y for x, y in zip(r, q)) for r, q in itertools.combinations(spanning, 2))
+    gens = [r for r, k in zip(spanning, keep) if k] + [s for s in sums if any(s)]
+    return normals, gens or spanning
+
+
+def test_validation_agrees_with_the_generator_subset_search():
+    verdicts = []
+
+    @given(_descriptions())
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def agree(desc):
+        try:
+            ConeSpec(*desc)
+            verdict = "accept"
+        except ValueError as e:
+            verdict = "ray" if "outside the generated cone" in str(e) else "earlier"
+        assert (verdict == "accept") == reference_cone_accepts(*desc), desc
+        verdicts.append(verdict)
+
+    agree()
+    # both verdicts occur, and the extreme-ray test itself rejects often
+    assert verdicts.count("accept") >= 0.25 * len(verdicts)
+    assert verdicts.count("ray") >= 0.1 * len(verdicts)
 
 
 def test_membership_and_order():
