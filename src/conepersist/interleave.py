@@ -13,7 +13,10 @@ The distance in a fixed interior antipodal direction changes truth value
 only at parameters where a breakpoint difference is bridged by the shift
 or the doubled shift, so binary search over that finite candidate set plus
 one certification query between consecutive candidates computes the exact
-value; a sample beyond the breakpoint diameter certifies infinity.
+value; a sample beyond the breakpoint diameter certifies infinity.  The
+search bisects on each decision's cheap pointwise rank prune first and
+runs full decisions only from the first candidate past its refutations,
+so refusal brackets also count those refutations.
 """
 from __future__ import annotations
 
@@ -49,7 +52,9 @@ class BudgetExceededError(Exception):
 
     Distinct from a negative decision: nothing is claimed about existence.
     known_false / known_true bracket the distance when raised during a
-    distance computation."""
+    distance computation: the largest parameter refuted so far, by a full
+    decision or by the pointwise rank prune alone, and the smallest one
+    with a witness."""
 
     def __init__(self, required: int, budget: int, known_false=None, known_true=None):
         self.required = required
@@ -142,12 +147,33 @@ class DistanceResult:
 # -- decision ---------------------------------------------------------------------
 
 
-def _decide(F0: ArrModule, G0: ArrModule, v, budget: int) -> InterleavingWitness | None:
+def _pointwise(F0: ArrModule, G0: ArrModule, v: Vec):
+    """The cheap phase of the decision in shift v: None when the pointwise
+    rank prune refutes an interleaving, else the decision's grids and
+    whether every comparison is zero.  A witness makes the F comparison
+    factor through G at the v-translate (and symmetrically), which bounds
+    its rank, so every refutation here is sound.  At v = 0 with F0 == G0
+    each comparison is an identity, so the identity shift is never
+    refuted."""
+    grids = _Grids(F0.complex, v)
+    s0, sv, s2 = map(grids.lookup, ("s0", "sv", "s2"))
+    all_zero = True
+    for t in grids.w2.cells():
+        lo, mid, hi = s0(t), sv(t), s2(t)
+        rank_f, rank_g = F0.structure_rank(lo, hi), G0.structure_rank(lo, hi)
+        if rank_f > G0.dim_at(mid) or rank_g > F0.dim_at(mid):
+            return None
+        all_zero = all_zero and not rank_f and not rank_g
+    return grids, all_zero
+
+
+def _decide(F0: ArrModule, G0: ArrModule, v, budget: int, pruned=None) -> InterleavingWitness | None:
     """An interleaving of two modules on one grid in shift v, or None when
-    provably none exists.  The witness is built on the modules the search
-    already restricted onto its witness grid (F0 and G0 themselves on the
-    identity path), and nothing is verified here: _certified checks the one
-    witness a caller returns."""
+    provably none exists.  pruned is _pointwise(F0, G0, v) when the caller
+    has run the cheap phase already and it did not refute.  The witness is
+    built on the modules the search already restricted onto its witness
+    grid (F0 and G0 themselves on the identity path), and nothing is
+    verified here: _certified checks the one witness a caller returns."""
     base = F0.complex
     v = as_vec(v)
     if len(v) != base.dim:
@@ -162,19 +188,12 @@ def _decide(F0: ArrModule, G0: ArrModule, v, budget: int) -> InterleavingWitness
         f = ModMorphism(F0, G0, comps, validate=False)
         return InterleavingWitness(v, f, ModMorphism(G0, F0, comps, validate=False), F0, G0)
 
-    grids = _Grids(base, v)
-    s0, sv, s2 = map(grids.lookup, ("s0", "sv", "s2"))
-    # sound pruning: a witness makes the F comparison factor through G at
-    # the v-translate (and symmetrically), bounding its rank; when every
-    # comparison is zero, the zero maps interleave
-    all_zero = True
-    for t in grids.w2.cells():
-        lo, mid, hi = s0(t), sv(t), s2(t)
-        rank_f, rank_g = F0.structure_rank(lo, hi), G0.structure_rank(lo, hi)
-        if rank_f > G0.dim_at(mid) or rank_g > F0.dim_at(mid):
-            return None
-        all_zero = all_zero and not rank_f and not rank_g
+    pruned = pruned or _pointwise(F0, G0, v)
+    if pruned is None:
+        return None
+    grids, all_zero = pruned
     if all_zero:
+        # every comparison is zero, so the zero maps interleave
         w1, t0, tv = grids.w1, grids.lookup("t0"), grids.lookup("tv")
         f, g = (
             ModMorphism(restrict_module(A, w1, tv), restrict_module(B, w1, t0), {}, validate=False)
@@ -322,7 +341,7 @@ class _Search:
             own, cross = (tf, tg) if fixed is self.f else (tg, tf)
             for rhs, cell, unknown, left in ((own, b1, a1, True), (cross, a1, b1, False)):
                 # no unknown here means the module opposite the target's is
-                # zero at sv t, so the prune in _decide made the target zero
+                # zero at sv t, so the pointwise prune made the target zero
                 if rhs is None or unknown not in other.unknowns:
                     continue
                 emat = known.at(cell)
@@ -439,6 +458,28 @@ def _first_true(cands: list, holds):
     return hi
 
 
+def _first_true_past_refutations(cands: list, refuted, holds):
+    """_first_true, walked on a cheap sound refutation: refuted(c) implies
+    that holds(c) fails, but it need not be monotone.  Bisecting on refuted
+    alone ends at an unrefuted candidate j whose predecessor is refuted, or
+    at j = 0.  holds fails at j - 1 and so at every candidate below it;
+    when it holds at j, j is the first, and only otherwise does _first_true
+    walk the candidates above j."""
+    lo, hi = 0, len(cands)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if refuted(cands[mid]):
+            lo = mid + 1
+        else:
+            hi = mid
+    if hi == len(cands):
+        return None  # the last candidate is refuted
+    if holds(cands[hi]):
+        return hi
+    above = _first_true(cands[hi + 1 :], holds) if hi + 1 < len(cands) else None
+    return None if above is None else hi + 1 + above
+
+
 def interleaving_distance(
     F: ArrModule,
     G: ArrModule,
@@ -450,8 +491,13 @@ def interleaving_distance(
     """Interleaving distance in direction v0.
 
     Exact mode walks the finite set of parameters where the decision can
-    change, certifying the value and whether it is attained.  Bracketed
-    mode bisects down to tol and reports the enclosing interval."""
+    change, certifying the value and whether it is attained.  It bisects
+    on the pointwise rank prune alone, decides fully at the candidate past
+    the refutation it ends on, and walks the candidates above with full
+    decisions only when that one fails; a refusal there falls back to the
+    plain walk over every candidate, so it is raised with at least that
+    walk's bracket.  Bracketed mode bisects down to tol and reports the
+    enclosing interval."""
     v0 = _direction_checked(F.complex, v0)
     if mode == "bracketed":
         if tol is None or tol <= 0:
@@ -461,14 +507,27 @@ def interleaving_distance(
     # one base grid for every decision, so the restricted modules keep
     # their structure-map caches across probes
     F0, G0 = on_common_grid(F, G)
-    # parameter -> _decide's unverified witness, or None; only the
-    # witness a result carries gets verified
+    # parameter -> _decide's unverified witness, or None, which is also
+    # how a pointwise refutation is kept; only the witness a result
+    # carries gets verified
     memo: dict[Fraction, InterleavingWitness | None] = {}
+    # the cheap phase of the one unrefuted parameter the exact walk holds
+    # for a decision, handed to that decision once
+    pending: dict[Fraction, tuple] = {}
+
+    def refuted(c: Fraction) -> bool:
+        pruned = _pointwise(F0, G0, tuple(c * x for x in v0))
+        if pruned is None:
+            memo[c] = None
+            return True
+        pending.clear()
+        pending[c] = pruned
+        return False
 
     def decide(c: Fraction):
         if c not in memo:
             try:
-                memo[c] = _decide(F0, G0, tuple(c * x for x in v0), budget)
+                memo[c] = _decide(F0, G0, tuple(c * x for x in v0), budget, pending.pop(c, None))
             except BudgetExceededError as e:
                 falses = [x for x, w in memo.items() if w is None]
                 trues = [x for x, w in memo.items() if w is not None]
@@ -479,6 +538,9 @@ def interleaving_distance(
                     known_true=min(trues) if trues else None,
                 ) from None
         return memo[c]
+
+    def holds(c: Fraction) -> bool:
+        return decide(c) is not None
 
     def result(value, attained, param, bracket=None) -> DistanceResult:
         """The result whose certified witness sits at param."""
@@ -502,7 +564,12 @@ def interleaving_distance(
         return result(hi, None, hi, (lo, hi))
 
     cands = _candidate_parameters(F0.complex, v0)
-    first = _first_true(cands, lambda c: decide(c) is not None)
+    try:
+        first = _first_true_past_refutations(cands, refuted, holds)
+    except BudgetExceededError:
+        # the plain walk on the same memo meets the refusal it would meet
+        # alone, knowing every bound it would know there and maybe more
+        first = _first_true(cands, holds)
     if first is None:
         # the widest breakpoint pair of each axis is a candidate, so the
         # last one already exceeds the breakpoint diameter

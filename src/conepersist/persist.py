@@ -180,9 +180,7 @@ class ModMorphism:
             raise ValueError("morphism endpoints live on different complexes or fields")
         self.src = src
         self.dst = dst
-        self.components: dict[Cell, FieldMat] = {
-            c: m for c, m in components.items() if src.dim_at(c) and dst.dim_at(c)
-        }
+        self.components: dict[Cell, FieldMat] = dict(components)
         if validate:
             self.validate()
 
@@ -194,6 +192,8 @@ class ModMorphism:
 
     def validate(self):
         for c, m in self.components.items():
+            if not (self.src.dim_at(c) and self.dst.dim_at(c)):
+                raise ValueError(f"component at a cell that carries no space: {c}")
             if m.nrows != self.dst.dim_at(c) or m.ncols != self.src.dim_at(c):
                 raise ValueError(f"component shape mismatch at {c}")
             if m.p != self.src.p:

@@ -11,10 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from conepersist import interleave
 from conepersist.exactla import FieldMat, SolutionSpace, _check_prime, _check_term, _null_basis, _rref
 from conepersist.persist import (
     ArrModule,
     ModMorphism,
+    on_common_grid,
     restrict_module,
     restrict_morphism,
     shift_morphism,
@@ -511,3 +513,45 @@ def reference_cone_accepts(normals, generators) -> bool:
         return False
     rays = _halfspace_extreme_rays([as_vec(n) for n in norms], dim)
     return all(_in_generated_cone(as_vec(r), [as_vec(g) for g in gens], dim) for r in rays)
+
+
+# -- the plain candidate walk for interleaving_distance's exact mode ----------
+
+
+def reference_exact_distance(F: ArrModule, G: ArrModule, v0, budget: int):
+    """interleaving_distance(F, G, v0, budget=budget) in exact mode, walked
+    with a full decision at every probe: _first_true over all candidates,
+    then the same midpoint and infinity tail.  A BudgetExceededError
+    carries the bracket of the decisions made before it."""
+    v0 = interleave._direction_checked(F.complex, v0)
+    F0, G0 = on_common_grid(F, G)
+    memo = {}
+
+    def decide(c):
+        if c not in memo:
+            try:
+                memo[c] = interleave._decide(F0, G0, tuple(c * x for x in v0), budget)
+            except interleave.BudgetExceededError as e:
+                falses = [x for x, w in memo.items() if w is None]
+                trues = [x for x, w in memo.items() if w is not None]
+                raise interleave.BudgetExceededError(
+                    e.required, e.budget, max(falses, default=None), min(trues, default=None)
+                ) from None
+        return memo[c]
+
+    def result(value, attained, param):
+        witness = interleave._certified(decide(param))
+        return interleave.DistanceResult(value, attained, "exact", v0, None, witness, param)
+
+    cands = interleave._candidate_parameters(F0.complex, v0)
+    first = interleave._first_true(cands, lambda c: decide(c) is not None)
+    if first is None:
+        tail = cands[-1] + 1
+        if decide(tail) is None:
+            return interleave.DistanceResult(float("inf"), None, "exact", v0)
+        return result(cands[-1], False, tail)
+    if first:
+        mid = (cands[first - 1] + cands[first]) / 2
+        if decide(mid) is not None:
+            return result(cands[first - 1], False, mid)
+    return result(cands[first], True, cands[first])

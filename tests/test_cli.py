@@ -16,7 +16,7 @@ from conepersist.conv1d import RaySheaf, line_cone
 from conepersist.cone import ConeSpec
 from conepersist.docio import load_document, save_document
 from conepersist.interleave import interleaving_distance
-from conepersist.persist import direct_sum, principal_module, random_module
+from conepersist.persist import direct_sum, identity_morphism, principal_module, random_module
 from conepersist.sites import beta_star
 
 
@@ -103,9 +103,10 @@ def test_validate_wrong_format_exits_2(tmp_path, capsys):
 def test_validate_composite_field_exits_3(tmp_path, capsys):
     P1 = principal_module(_line_cx(), 2, (0,))
     P2 = principal_module(CellComplex(quadrant_cone(), [[0], [0]]), 2, (0, 0))
-    # (document, field, appended map entries): each appended map joins a
-    # cell that carries no space, some through an index of the wrong
-    # length; the empty matrix even has the shape of its two cells
+    # (document, field, appended map entries or morphism components): each
+    # appended entry sits on a cell that carries no space, some through an
+    # index of the wrong length; the empty matrix even has the shape of its
+    # two cells.  P1 is zero on its cell (2,)
     cases = [
         (P1, 4, []),
         (RaySheaf.make([0, 1]), 4, []),
@@ -113,14 +114,16 @@ def test_validate_composite_field_exits_3(tmp_path, capsys):
         (P2, 2, [{"source": [0, 0, 0], "target": [0, 0], "matrix": [[1]]}]),
         (P1, 2, [{"source": [4], "target": [3], "matrix": [[1, 0], [0, 1]]}]),
         (P2, 2, [{"source": [0], "target": [0, 0, 0], "matrix": []}]),
+        (identity_morphism(P1), 2, [{"index": [0, 0, 0], "matrix": [[1, 0], [0, 1]]}]),
+        (identity_morphism(P1), 2, [{"index": [2], "matrix": []}]),
     ]
-    for obj, field, maps in cases:
+    for obj, field, entries in cases:
         path = tmp_path / "invalid.json"
         save_document(str(path), obj)
         doc = json.loads(path.read_text())
         doc["payload"]["field"] = field
-        if maps:
-            doc["payload"]["maps"] += maps
+        if entries:
+            doc["payload"]["components" if "components" in doc["payload"] else "maps"] += entries
         path.write_text(json.dumps(doc))
         code, lines = _run(capsys, "validate", str(path))
         assert code == 3, lines
