@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 
@@ -112,7 +113,12 @@ def orthant_transform(cone: ConeSpec):
 
 
 class CellComplex:
-    """Product arrangement of per-axis breakpoint grids under a cone order."""
+    """Product arrangement of per-axis breakpoint grids under a cone order.
+
+    A complex never changes after construction, so its cell tuple, its
+    cover pairs and its per-axis step-down table are each built on first
+    use and kept on the complex.  A derived complex (`shifted`,
+    `with_extra_breaks`, a refinement) builds its own."""
 
     def __init__(self, cone: ConeSpec, breakpoints, transform=None):
         self.cone = cone
@@ -171,7 +177,7 @@ class CellComplex:
         return (self.cone, self.transform, tuple(a.breaks for a in self.axes))
 
     def __eq__(self, other):
-        return isinstance(other, CellComplex) and self._key() == other._key()
+        return self is other or (isinstance(other, CellComplex) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -188,9 +194,22 @@ class CellComplex:
 
     # -- cells ---------------------------------------------------------------
 
-    def cells(self):
-        """All cells in lexicographic raw-index order."""
-        return product(*(range(a.ncells) for a in self.axes))
+    def cells(self) -> tuple[Cell, ...]:
+        """All cells in lexicographic raw-index order, as one tuple built
+        on first use."""
+        return self._cells
+
+    @cached_property
+    def _cells(self) -> tuple[Cell, ...]:
+        return tuple(product(*(range(a.ncells) for a in self.axes)))
+
+    @cached_property
+    def _steps(self) -> tuple[tuple[int | None, ...], ...]:
+        """Per axis j, raw index i -> the raw index one step down the cone
+        order from i, or None at the bottom of the axis."""
+        return tuple(
+            tuple(None if ax.oriented(i) == 0 else i + ax.sign for i in range(ax.ncells)) for ax in self.axes
+        )
 
     @property
     def ncells(self) -> int:
@@ -221,19 +240,23 @@ class CellComplex:
     def step_down(self, cell: Cell, j: int) -> Cell | None:
         """The cell covered by cell on axis j (one step down in the cone
         order), or None when cell is at the bottom of that axis."""
-        ax = self.axes[j]
-        if ax.oriented(cell[j]) == 0:
-            return None
-        raw = cell[j] - 1 if ax.sign == -1 else cell[j] + 1
-        return cell[:j] + (raw,) + cell[j + 1 :]
+        raw = self._steps[j][cell[j]]
+        return None if raw is None else cell[:j] + (raw,) + cell[j + 1 :]
 
-    def cover_pairs(self):
-        """All pairs (a, b) with a covered by b in the cell order."""
-        for b in self.cells():
-            for j in range(self.dim):
-                a = self.step_down(b, j)
-                if a is not None:
-                    yield a, b
+    def cover_pairs(self) -> tuple[tuple[Cell, Cell], ...]:
+        """All pairs (a, b) with a covered by b in the cell order, by cell
+        b in cells() order and then by axis, as one tuple built on first
+        use."""
+        return self._cover_pairs
+
+    @cached_property
+    def _cover_pairs(self) -> tuple[tuple[Cell, Cell], ...]:
+        return tuple(
+            (b[:j] + (raw,) + b[j + 1 :], b)
+            for b in self._cells
+            for j, steps in enumerate(self._steps)
+            if (raw := steps[b[j]]) is not None
+        )
 
     def just_inside(self, cell: Cell, direction: str) -> Cell:
         if direction not in (INTERIOR, ANTIPODAL):

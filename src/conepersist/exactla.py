@@ -7,16 +7,25 @@ systems that back morphism search.  Three eliminations serve them:
 - `_rref`, dense Gauss-Jordan over F_p and (for `qlinalg`) Q, for
   `FieldMat`'s small matrices; `_null_basis` and `_solve_aug` read kernels
   and solutions off it.
-- `_rref_f2_packed`, rows as bitmasks, for the solution spaces at p = 2.
+- `_rref_f2_packed`, rows as bitmasks, for the solution spaces and for
+  `FieldMat.rank` at p = 2.
 - `_rref_sparse`, rows as dicts column -> residue, for the solution spaces
   at every other p; `_null_basis` reads their kernels too.
+
+The matrices are tiny and the work is per call, so results the module
+computes itself are built by `_mat`, which skips the row-length check of
+the public constructor, and zero and identity matrices are shared.
+Field orders are primes below 2**31 (`_MAX_FIELD`), which bounds the work
+of checking them.
 """
 from __future__ import annotations
 
 import functools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -25,19 +34,30 @@ __all__ = [
     "affine_solution_space",
 ]
 
+# field orders from here on are refused: trial division to the square
+# root then stays below 50,000 steps
+_MAX_FIELD = 2**31
+
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p >= _MAX_FIELD:
+        raise ValueError("field order must be a prime below 2**31")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"field order must be prime, got {p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldMat:
     """Immutable dense matrix over F_p.
 
     The column count is stored explicitly so matrices with zero rows keep
     their shape (compositions through a zero dimensional space must still
-    typecheck).
+    typecheck).  `FieldMat(...)` and `make` check every row length; the
+    results of products, sums, negation, stacks, transposes, eliminations
+    and solution spaces are built by `_mat` without that check, because
+    their shapes hold by construction.  `zero` and `identity` return one
+    shared instance per shape.  `rank` eliminates packed bitmask rows at
+    p = 2.
     """
 
     p: int
@@ -58,14 +78,15 @@ class FieldMat:
         return FieldMat(p, ent, cols)
 
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def zero(p: int, rows: int, cols: int) -> "FieldMat":
-        return FieldMat(p, tuple((0,) * cols for _ in range(rows)), cols)
+        # immutable, so one shared instance per shape serves every caller
+        return _mat(p, ((0,) * cols,) * rows, cols)
 
     @staticmethod
     @functools.lru_cache(maxsize=64)
     def identity(p: int, n: int) -> "FieldMat":
-        # immutable, so one shared instance per (p, n) serves every caller
-        return FieldMat(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return _mat(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @property
     def nrows(self) -> int:
@@ -77,45 +98,38 @@ class FieldMat:
 
     def __add__(self, other: "FieldMat") -> "FieldMat":
         self._compat(other, same_shape=True)
-        return FieldMat(
-            self.p,
-            tuple(
-                tuple((a + b) % self.p for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
+        p = self.p
+        return _mat(
+            p,
+            tuple(tuple((a + b) % p for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
             self.cols,
         )
 
     def __sub__(self, other: "FieldMat") -> "FieldMat":
         self._compat(other, same_shape=True)
-        return FieldMat(
-            self.p,
-            tuple(
-                tuple((a - b) % self.p for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
+        p = self.p
+        return _mat(
+            p,
+            tuple(tuple((a - b) % p for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
             self.cols,
         )
 
     def __neg__(self) -> "FieldMat":
-        return FieldMat(
-            self.p,
-            tuple(tuple((-a) % self.p for a in row) for row in self.entries),
-            self.cols,
-        )
+        p = self.p
+        return _mat(p, tuple(tuple((-a) % p for a in row) for row in self.entries), self.cols)
 
     def __mul__(self, other: "FieldMat") -> "FieldMat":
-        self._compat(other)
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         p = self.p
-        bt = tuple(
-            tuple(other.entries[r][c] for r in range(other.nrows)) for c in range(other.ncols)
-        )
-        out = []
-        for row in self.entries:
-            out.append(tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt))
-        return FieldMat(p, tuple(out), other.ncols)
+        if p != other.p:
+            raise ValueError("field mismatch")
+        rows, inner, cols = self.entries, self.cols, other.cols
+        if inner != len(other.entries):
+            raise ValueError(f"shape mismatch {len(rows)}x{inner} * {len(other.entries)}x{cols}")
+        if not (rows and inner and cols):
+            return FieldMat.zero(p, len(rows), cols)
+        # the right factor's columns, read once
+        bt = tuple(zip(*other.entries))
+        return _mat(p, tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in rows), cols)
 
     __matmul__ = __mul__
 
@@ -126,27 +140,20 @@ class FieldMat:
             raise ValueError("shape mismatch")
 
     def transpose(self) -> "FieldMat":
-        return FieldMat(
-            self.p,
-            tuple(tuple(self.entries[r][c] for r in range(self.nrows)) for c in range(self.ncols)),
-            self.nrows,
-        )
+        entries = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
+        return _mat(self.p, entries, self.nrows)
 
     @staticmethod
     def vstack(a: "FieldMat", b: "FieldMat") -> "FieldMat":
         if a.ncols != b.ncols:
             raise ValueError("column count mismatch")
-        return FieldMat(a.p, a.entries + b.entries, a.ncols)
+        return _mat(a.p, a.entries + b.entries, a.ncols)
 
     @staticmethod
     def hstack(a: "FieldMat", b: "FieldMat") -> "FieldMat":
         if a.nrows != b.nrows:
             raise ValueError("row count mismatch")
-        return FieldMat(
-            a.p,
-            tuple(ra + rb for ra, rb in zip(a.entries, b.entries)),
-            a.ncols + b.ncols,
-        )
+        return _mat(a.p, tuple(ra + rb for ra, rb in zip(a.entries, b.entries)), a.ncols + b.ncols)
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.entries)
@@ -154,26 +161,30 @@ class FieldMat:
     def rref(self) -> tuple["FieldMat", tuple[int, ...]]:
         rows = [list(r) for r in self.entries]
         pivots = _rref(rows, self.p)
-        return FieldMat(self.p, tuple(tuple(r) for r in rows), self.cols), tuple(pivots)
+        return _mat(self.p, tuple(tuple(r) for r in rows), self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(_rref([list(r) for r in self.entries], self.p))
+        entries, p = self.entries, self.p
+        if not (entries and self.cols):
+            return 0
+        if len(entries) == 1:
+            return int(any(x % p for x in entries[0]))
+        if p == 2:
+            # entries need not be reduced, so bit j is the parity of x
+            return len(_rref_f2_packed(sum((x & 1) << j for j, x in enumerate(row)) for row in entries))
+        return len(_rref([list(r) for r in entries], p))
 
     def kernel_basis(self) -> "FieldMat":
         """Matrix whose columns span the right kernel (ncols x k)."""
         rows = [list(r) for r in self.entries]
         basis = _null_basis(rows, _rref(rows, self.p), self.ncols, self.p)
-        return FieldMat(
-            self.p,
-            tuple(tuple(v[i] for v in basis) for i in range(self.ncols)),
-            len(basis),
-        )
+        return _mat(self.p, tuple(tuple(v[i] for v in basis) for i in range(self.ncols)), len(basis))
 
     def column_space_basis(self) -> "FieldMat":
         """Matrix whose columns are a basis of the column space (nrows x r):
         the pivot columns of the original matrix."""
         piv = _rref([list(r) for r in self.entries], self.p)
-        return FieldMat(self.p, tuple(tuple(row[c] for c in piv) for row in self.entries), len(piv))
+        return _mat(self.p, tuple(tuple(row[c] for c in piv) for row in self.entries), len(piv))
 
     def inverse(self) -> "FieldMat | None":
         if self.nrows != self.ncols:
@@ -188,10 +199,25 @@ class FieldMat:
             raise ValueError("rhs row count mismatch")
         aug = [list(r) + list(b) for r, b in zip(self.entries, rhs.entries)]
         x = _solve_aug(aug, self.ncols, rhs.ncols, self.p)
-        return None if x is None else FieldMat(self.p, tuple(map(tuple, x)), rhs.ncols)
+        return None if x is None else _mat(self.p, tuple(map(tuple, x)), rhs.ncols)
 
     def __repr__(self):
         return f"FieldMat(p={self.p}, {self.nrows}x{self.ncols})"
+
+
+_new = object.__new__
+# the slot setters, which write past the frozen __setattr__
+_set_p, _set_entries, _set_cols = (FieldMat.__dict__[name].__set__ for name in ("p", "entries", "cols"))
+
+
+def _mat(p: int, entries: tuple, cols: int) -> FieldMat:
+    """FieldMat(p, entries, cols) without the row-length check, for results
+    whose every row has cols entries by construction."""
+    m = _new(FieldMat)
+    _set_p(m, p)
+    _set_entries(m, entries)
+    _set_cols(m, cols)
+    return m
 
 
 def _rref(rows: list[list], p: int) -> list[int]:
@@ -359,9 +385,7 @@ class SolutionSpace:
     def _unflatten(self, vec: list[int]) -> dict:
         out = {}
         for name, r, c, off in self._layout:
-            out[name] = FieldMat(
-                self.p, tuple(tuple(vec[off + i * c + j] for j in range(c)) for i in range(r)), c
-            )
+            out[name] = _mat(self.p, tuple(tuple(vec[off + i * c : off + (i + 1) * c]) for i in range(r)), c)
         return out
 
     def element(self, coeffs: Sequence[int]) -> dict:

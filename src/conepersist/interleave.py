@@ -243,7 +243,8 @@ class _Grids:
         breaks = {"w1": [], "w2": []}
         self.tables: dict[str, list[list[int]]] = {name: [] for name, _, _ in _TABLE_TARGETS}
         for ax, vj in zip(base.axes, v):
-            merged, tags = merge_breaks([b - k * vj for b in ax.breaks] for k in range(3))
+            # the base breakpoints and their v- and 2v-translates
+            merged, tags = merge_breaks([ax.breaks] + [[b - s for b in ax.breaks] for s in (vj, 2 * vj)])
             on_w1 = [(x, m) for x, m in zip(merged, tags) if m & 3]
             masks = {"w1": [m for _, m in on_w1], "w2": tags}
             breaks["w1"].append([x for x, _ in on_w1])
@@ -337,6 +338,7 @@ class _Search:
         either before solving."""
         other = self.other(fixed)
         equations = list(other.nat_eqs)
+        ranks: dict = {}  # cell -> rank of known's component there
         for a1, b1, tf, tg in self.targets:
             own, cross = (tf, tg) if fixed is self.f else (tg, tf)
             for rhs, cell, unknown, left in ((own, b1, a1, True), (cross, a1, b1, False)):
@@ -345,8 +347,11 @@ class _Search:
                 if rhs is None or unknown not in other.unknowns:
                     continue
                 emat = known.at(cell)
+                rank = ranks.get(cell)
+                if rank is None:
+                    rank = ranks[cell] = emat.rank()
                 stacked = FieldMat.vstack(emat, rhs) if left else FieldMat.hstack(emat, rhs)
-                if stacked.rank() != emat.rank():
+                if stacked.rank() != rank:
                     return None
                 term = (None, unknown, emat) if left else (emat, unknown, None)
                 equations.append(([term], rhs))
@@ -496,7 +501,8 @@ def interleaving_distance(
     the refutation it ends on, and walks the candidates above with full
     decisions only when that one fails; a refusal there falls back to the
     plain walk over every candidate, so it is raised with at least that
-    walk's bracket.  Bracketed mode bisects down to tol and reports the
+    walk's bracket.  A refused parameter is decided once per distance: a
+    walk that meets it again re-raises with the bracket known by then.  Bracketed mode bisects down to tol and reports the
     enclosing interval."""
     v0 = _direction_checked(F.complex, v0)
     if mode == "bracketed":
@@ -514,6 +520,9 @@ def interleaving_distance(
     # the cheap phase of the one unrefuted parameter the exact walk holds
     # for a decision, handed to that decision once
     pending: dict[Fraction, tuple] = {}
+    # parameter -> the budget refusal its decision raised, so a walk that
+    # comes back to it raises again without deciding again
+    over_budget: dict[Fraction, BudgetExceededError] = {}
 
     def refuted(c: Fraction) -> bool:
         pruned = _pointwise(F0, G0, tuple(c * x for x in v0))
@@ -525,19 +534,24 @@ def interleaving_distance(
         return False
 
     def decide(c: Fraction):
-        if c not in memo:
+        if c in memo:
+            return memo[c]
+        if c not in over_budget:
             try:
                 memo[c] = _decide(F0, G0, tuple(c * x for x in v0), budget, pending.pop(c, None))
+                return memo[c]
             except BudgetExceededError as e:
-                falses = [x for x, w in memo.items() if w is None]
-                trues = [x for x, w in memo.items() if w is not None]
-                raise BudgetExceededError(
-                    e.required,
-                    e.budget,
-                    known_false=max(falses) if falses else None,
-                    known_true=min(trues) if trues else None,
-                ) from None
-        return memo[c]
+                over_budget[c] = e
+        # the bracket is read from the memo as it stands at each raise
+        e = over_budget[c]
+        falses = [x for x, w in memo.items() if w is None]
+        trues = [x for x, w in memo.items() if w is not None]
+        raise BudgetExceededError(
+            e.required,
+            e.budget,
+            known_false=max(falses) if falses else None,
+            known_true=min(trues) if trues else None,
+        ) from None
 
     def holds(c: Fraction) -> bool:
         return decide(c) is not None

@@ -79,17 +79,21 @@ class ArrModule:
         if not self.complex.cell_leq(a, b):
             raise ValueError(f"cells are not ordered: {a} !<= {b}")
         # step down from b on the first axis that differs, until a or a
-        # cell whose map from a is cached, then compose back up
+        # cell whose map from a is cached, then compose back up; once an
+        # axis agrees with a it stays so, so j only moves forward
+        cache, steps = self._smap_cache, self.complex._steps
         path = [b]
-        while out is None and path[-1] != a:
-            cur = path[-1]
-            j = next(j for j in range(len(a)) if a[j] != cur[j])
-            path.append(self.complex.step_down(cur, j))
-            out = self._smap_cache.get((a, path[-1]))
+        cur, j = b, 0
+        while out is None and cur != a:
+            while cur[j] == a[j]:
+                j += 1
+            cur = cur[:j] + (steps[j][cur[j]],) + cur[j + 1 :]
+            path.append(cur)
+            out = cache.get((a, cur))
         for i in range(len(path) - 2, -1, -1):
             step = self.cover_map(path[i + 1], path[i])
             out = step if out is None else out @ step
-            self._smap_cache[(a, path[i])] = out
+            cache[(a, path[i])] = out
         return out
 
     def structure_rank(self, a: Cell, b: Cell) -> int:

@@ -287,7 +287,7 @@ def strict_restrictions_vanish(mod: ArrModule) -> bool:
     cells admit s < t inside, so their identity must vanish."""
     if mod.complex.dim != 1:
         raise ValueError("strict-restriction test is a one-axis diagnostic")
-    cells = list(mod.complex.cells())
+    cells = mod.complex.cells()
     for a in cells:
         for b in cells:
             if not mod.complex.cell_leq(a, b):

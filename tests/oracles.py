@@ -417,6 +417,41 @@ def _solve_space_generic(p, layout, total, rows, rhs_vals) -> SolutionSpace:
     return SolutionSpace(p, layout, particular, _null_basis(aug, pivots, total, p))
 
 
+# -- plain references for the FieldMat kernels -----------------------------------
+
+
+def reference_product(p: int, a: FieldMat, b: FieldMat) -> tuple:
+    """Entries of a @ b by the triple loop, reduced mod p."""
+    return tuple(
+        tuple(sum(a.entries[i][t] * b.entries[t][j] for t in range(a.ncols)) % p for j in range(b.ncols))
+        for i in range(a.nrows)
+    )
+
+
+def reference_rank(p: int, m: FieldMat) -> int:
+    """log_p of the size of the row space of m, enumerated from every
+    combination of its rows (or of its columns, when they are fewer): no
+    elimination."""
+    vecs = m.entries if m.nrows <= m.ncols else [[row[j] for row in m.entries] for j in range(m.ncols)]
+    space = {
+        tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*vecs))
+        for coeffs in itertools.product(range(p), repeat=len(vecs))
+    }
+    rank = 0
+    while p**rank < len(space):
+        rank += 1
+    assert p**rank == len(space)
+    return rank
+
+
+def reference_vstack(a: FieldMat, b: FieldMat) -> tuple:
+    return tuple(a.entries) + tuple(b.entries)
+
+
+def reference_hstack(a: FieldMat, b: FieldMat) -> tuple:
+    return tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a.entries, b.entries))
+
+
 # -- the composite-morphism reference for InterleavingWitness.verify ----------
 
 

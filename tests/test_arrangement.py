@@ -1,4 +1,5 @@
 """Cell arrangements: axis grids, cone-order on cells, refinement."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,51 @@ def test_cover_pairs_are_covers():
         assert a != b and cx.cell_leq(a, b)
         between = [c for c in all_cells if cx.cell_leq(a, c) and cx.cell_leq(c, b)]
         assert len(between) == 2
+
+
+def _fresh_step_down(cx, cell, j):
+    # one step down the cone order on axis j, from the axis sign alone
+    ax = cx.axes[j]
+    if ax.oriented(cell[j]) == 0:
+        return None
+    return cell[:j] + (cell[j] - 1 if ax.sign == -1 else cell[j] + 1,) + cell[j + 1 :]
+
+
+def test_per_complex_tables_match_fresh_enumeration():
+    # cells(), cover_pairs() and the step-down table are built once per
+    # complex; each must equal a fresh enumeration, on every way a complex
+    # is made, and a derived complex must build its own
+    cones = [
+        _line(),
+        ConeSpec(normals=[(1,)], generators=[(1,)]),
+        _quadrant(),
+        ConeSpec(normals=[(-1, 0), (0, 1)], generators=[(-1, 0), (0, 1)]),
+    ]
+    for cone in cones:
+        dim = cone.dim
+        base = CellComplex(cone, [[0, Fraction(1, 2)], [-1]][:dim])
+        derived = [
+            base._derived([(Fraction(-1), Fraction(2)), ()][:dim]),
+            base.shifted((Fraction(1, 3),) * dim),
+            base.with_extra_breaks([[Fraction(1, 4)], [0, 3]][:dim]),
+        ]
+        for cx in [base] + derived:
+            fresh = tuple(itertools.product(*(range(a.ncells) for a in cx.axes)))
+            assert cx.cells() == fresh and cx.cells() == cx.cells()
+            assert cx.cover_pairs() == tuple(
+                (a, b) for b in fresh for j in range(dim) if (a := _fresh_step_down(cx, b, j)) is not None
+            )
+            assert cx.cover_pairs() == cx.cover_pairs()
+            for cell in fresh:
+                for j in range(dim):
+                    assert cx.step_down(cell, j) == _fresh_step_down(cx, cell, j)
+                    step = cx._steps[j][cell[j]]
+                    assert (step is None) == (_fresh_step_down(cx, cell, j) is None)
+                    assert step is None or _fresh_step_down(cx, cell, j)[j] == step
+        for cx in derived:
+            assert cx.cells() is not base.cells()
+            assert cx.cover_pairs() is not base.cover_pairs()
+            assert cx._steps is not base._steps
 
 
 def test_just_inside_lands_in_open_cells_and_is_idempotent():

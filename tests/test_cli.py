@@ -116,6 +116,10 @@ def test_validate_composite_field_exits_3(tmp_path, capsys):
         (P2, 2, [{"source": [0], "target": [0, 0, 0], "matrix": []}]),
         (identity_morphism(P1), 2, [{"index": [0, 0, 0], "matrix": [[1, 0], [0, 1]]}]),
         (identity_morphism(P1), 2, [{"index": [2], "matrix": []}]),
+        # field orders of 2**31 and above are refused before any work
+        (RaySheaf.make([0, 1]), 2**61 - 1, []),
+        (RaySheaf.make([0, 1]), 10**400 + 7, []),
+        (P1, 10**400 + 7, []),
     ]
     for obj, field, entries in cases:
         path = tmp_path / "invalid.json"
@@ -128,6 +132,14 @@ def test_validate_composite_field_exits_3(tmp_path, capsys):
         code, lines = _run(capsys, "validate", str(path))
         assert code == 3, lines
         assert lines[0]["ok"] is False and lines[0]["error"] == "invalid"
+    # the largest admitted field order is still checked and accepted
+    path = tmp_path / "largest.json"
+    save_document(str(path), RaySheaf.make([0, 1]))
+    doc = json.loads(path.read_text())
+    doc["payload"]["field"] = 2**31 - 1
+    path.write_text(json.dumps(doc))
+    code, lines = _run(capsys, "validate", str(path))
+    assert code == 0 and lines[0]["field"] == 2**31 - 1, lines
 
 
 def _wedge_cx():

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conepersist.exactla import FieldMat, affine_solution_space
@@ -13,6 +13,10 @@ from oracles import (
     enumerated_colimit_dim,
     enumerated_limit_dim,
     limit,
+    reference_hstack,
+    reference_product,
+    reference_rank,
+    reference_vstack,
 )
 
 
@@ -50,6 +54,14 @@ def test_shape_mismatches_raise():
         FieldMat.vstack(FieldMat.zero(2, 1, 2), FieldMat.zero(2, 1, 3))
     with pytest.raises(ValueError):
         FieldMat.make(4, [[1]])  # not prime
+
+
+def test_field_orders_are_primes_below_2_31():
+    # trial division runs to math.isqrt(p), and the ceiling bounds it
+    assert FieldMat.make(2**31 - 1, [[2**31]]).entries == ((1,),)
+    for p in (2**31, 2**61 - 1, 10**400 + 7, 0, 1, 2**31 - 3):
+        with pytest.raises(ValueError):
+            FieldMat.make(p, [[1]])
 
 
 def test_frozen_rref_rank_kernel():
@@ -270,3 +282,53 @@ def test_solution_space_infeasible():
     )
     assert not space.feasible
     assert space.particular() is None
+
+
+def _raw_matrix(p, rows, cols):
+    """A matrix of unreduced entries, negative ones included, built by the
+    public constructor with no reduction mod p."""
+    return st.lists(
+        st.lists(st.integers(-p, 2 * p), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda ent: FieldMat(p, tuple(map(tuple, ent)), cols))
+
+
+@st.composite
+def _kernel_case(draw):
+    # a (m x k) times b (k x n); c (j x k) stacks under a, d (m x j) beside it
+    p = draw(st.sampled_from([2, 3, 5]))
+    m, k, n, j = (draw(st.integers(0, 4)) for _ in range(4))
+    shapes = ((m, k), (k, n), (j, k), (m, j))
+    return (p, *(draw(_raw_matrix(p, rows, cols)) for rows, cols in shapes))
+
+
+def _checked(m: FieldMat) -> FieldMat:
+    # every result keeps the public constructor's invariant
+    assert FieldMat(m.p, m.entries, m.cols) == m
+    return m
+
+
+@given(_kernel_case())
+@example((2, FieldMat(2, ((2, 3),)), FieldMat(2, ((1,), (1,))), FieldMat(2, ((2, 3), (1, 3))), FieldMat(2, ((),), 0)))
+@example((3, FieldMat(3, (), 3), FieldMat(3, ((1, 2),) * 3), FieldMat(3, ((4, 5, 6),)), FieldMat(3, (), 2)))
+@example((5, FieldMat(5, ((), ()), 0), FieldMat(5, (), 4), FieldMat(5, (), 0), FieldMat(5, ((7,), (9,)))))
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+def test_kernels_agree_with_plain_references(case):
+    # products, stacks, ranks, zero and identity against the triple loop,
+    # tuple concatenation and a rank read off the enumerated row space, on
+    # every shape up to 4x4, unreduced entries included
+    p, a, b, c, d = case
+    prod = _checked(a @ b)
+    assert (prod.entries, prod.cols) == (reference_product(p, a, b), b.ncols)
+    v = _checked(FieldMat.vstack(a, c))
+    assert (v.entries, v.cols) == (reference_vstack(a, c), a.ncols)
+    h = _checked(FieldMat.hstack(a, d))
+    assert (h.entries, h.cols) == (reference_hstack(a, d), a.ncols + d.ncols)
+    for mat in (a, b, c, d, v, h, prod):
+        assert mat.rank() == reference_rank(p, mat)
+        assert _checked(mat.transpose()).transpose() == mat
+    rows, cols = a.nrows, a.ncols
+    zero = _checked(FieldMat.zero(p, rows, cols))
+    assert (zero.entries, zero.cols) == (tuple((0,) * cols for _ in range(rows)), cols)
+    ident = _checked(FieldMat.identity(p, cols))
+    assert ident.entries == tuple(tuple(int(i == j) for j in range(cols)) for i in range(cols))
+    assert (_checked(a @ ident).entries, _checked(zero @ ident)) == (reference_product(p, a, ident), zero)

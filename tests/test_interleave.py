@@ -408,6 +408,34 @@ def test_budget_error_carries_known_bounds():
     assert e.value.known_true == 2
 
 
+def test_refused_shift_is_decided_once_per_distance(monkeypatch):
+    # the guided walk's refusal is remembered, so the plain walk that falls
+    # back over the same candidates re-raises it with the bracket it knows
+    # then instead of rebuilding the decision; each pair used to decide its
+    # refused shift twice
+    raised = []
+    decide = interleave._decide
+
+    def counting(F0, G0, v, budget, pruned=None):
+        try:
+            return decide(F0, G0, v, budget, pruned)
+        except BudgetExceededError:
+            raised.append(v)
+            raise
+
+    monkeypatch.setattr(interleave, "_decide", counting)
+    cases = [((0, 1), 50, (Fraction(1, 2), None)), ((0, 1, 2), 52, (0, 2)), ((0, 1, 2), 93, (Fraction(1, 2), 2))]
+    for breaks, seed, bracket in cases:
+        cx = _line_cx(breaks)
+        F = random_module(cx, 2, seed, max_dim=2)
+        G = random_module(cx, 2, 1000 + seed, max_dim=2)
+        raised.clear()
+        with pytest.raises(BudgetExceededError) as e:
+            interleaving_distance(F, G, (1,), budget=0)
+        assert (e.value.known_false, e.value.known_true) == bracket
+        assert len(raised) == len(set(raised)) == 1
+
+
 def inter_probe(F, G, directions, budget):
     """Decision outcome for each shift in directions; 'budget' marks an
     inconclusive search."""
